@@ -489,15 +489,51 @@ class CostLedger:
             self.on_charge("tensor", total)
         return total
 
+    def charge_tensor_batch(
+        self,
+        tensor: float,
+        latency: float,
+        calls: int,
+        ns: np.ndarray,
+        sqrt_m: int,
+        times: np.ndarray,
+        lats: float | np.ndarray,
+        *,
+        units: np.ndarray | None = None,
+        span: float | None = None,
+    ) -> float:
+        """Charge one batch of tensor calls scheduled across parallel units.
+
+        The clock advances by the batch's makespan, not by the serial sum
+        of its calls: ``tensor`` and ``latency`` are the serial
+        throughput and latency totals already scaled to the makespan,
+        ``calls`` the hardware calls issued.  Open sections accrue
+        ``span`` (default ``tensor + latency``; a caller holding the
+        makespan itself passes it, so section totals carry that exact
+        float).  The trace keeps every call at its true serial cost —
+        ``ns`` / ``times`` / ``lats`` with optional per-call ``units``.
+
+        Returns ``tensor + latency``, the amount reported to
+        ``on_charge`` as ``"tensor"``.
+        """
+        self.tensor_time += tensor
+        self.latency_time += latency
+        self.tensor_calls += calls
+        total = tensor + latency
+        self._bump_sections(total if span is None else span)
+        self.record_calls_bulk(ns, sqrt_m, times, lats, units=units)
+        if self.on_charge is not None:
+            self.on_charge("tensor", total)
+        return total
+
     def record_call(
         self, n: int, sqrt_m: int, time: float, latency: float, unit: int = -1
     ) -> None:
         """Trace one call under the active mode (no counters touched).
 
-        Used internally by :meth:`charge_tensor` and by batch executors
-        (e.g. :meth:`~repro.core.parallel.ParallelTCUMachine.mm_batch`)
-        that account makespans themselves but still want the per-call
-        trace kept consistent.
+        Used internally by :meth:`charge_tensor`; batch executors that
+        account makespans charge through :meth:`charge_tensor_batch`,
+        which keeps the per-call trace consistent the same way.
         """
         if self.trace_calls is True:
             section = self._section_stack[-1] if self._section_stack else ""
@@ -518,7 +554,7 @@ class CostLedger:
     ) -> None:
         """Bulk trace append under the active mode (no counters touched):
         the vectorised counterpart of :meth:`record_call`, used by
-        :meth:`charge_tensor_bulk` and the parallel batch executor.
+        :meth:`charge_tensor_bulk` and :meth:`charge_tensor_batch`.
         ``latency`` is a shared scalar or a per-call column; ``units``
         optionally records per-call unit assignments (ignored by the
         aggregate histogram, which is keyed on shape alone)."""

@@ -140,6 +140,9 @@ class TCUMachine:
         self.ledger.bind_machine(self.sqrt_m, self.ell)
         self._words: WordSpec | None = None
         self._systolic: SystolicArray | None = None
+        # auto-splitter decisions (repro.core.program), keyed on
+        # config_key() and the level's group shapes; fork() starts empty
+        self._split_memo: dict[tuple, tuple[tuple[int, ...], float]] = {}
 
     @property
     def words(self) -> WordSpec:

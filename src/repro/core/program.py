@@ -516,6 +516,9 @@ def _cap_group(group: list[TensorOp], max_rows: int | None) -> list[list[TensorO
 # chunks), so the all-ones legacy schedule survives every tie.
 _SPLIT_SEARCH_LIMIT = 512
 _SPLIT_DESCENT_PASSES = 4
+# split decisions memoised per machine (``TCUMachine._split_memo``); the
+# oldest entry is evicted once a machine holds this many level shapes
+_SPLIT_MEMO_LIMIT = 1024
 
 
 def modelled_call_cost(machine: TCUMachine, rows: int, dtype=np.float64) -> float:
@@ -569,6 +572,26 @@ def _split_cap(group: list[TensorOp], machine: TCUMachine, units: int) -> int:
     return max(1, min(units, _group_rows(group) // machine.sqrt_m))
 
 
+def _group_complex(group: list[TensorOp]) -> bool:
+    """Does the group's stream price at the complex cost factor?"""
+    return bool(np.issubdtype(np.dtype(group[0].dtype), np.complexfloating))
+
+
+def _chunk_costs(
+    machine: TCUMachine, rows: int, is_complex: bool, pieces: int
+) -> list[float]:
+    """Per-chunk modelled costs of a ``rows``-row stream split into
+    ``pieces`` row-balanced chunks, in :func:`_split_bounds` order.  A
+    balanced split has at most two distinct chunk heights, so this
+    prices at most two calls."""
+    base, extra = divmod(rows, pieces)
+    dtype = np.complex128 if is_complex else np.float64
+    short = [modelled_call_cost(machine, base, dtype)] * (pieces - extra)
+    if not extra:
+        return short
+    return [modelled_call_cost(machine, base + 1, dtype)] * extra + short
+
+
 def _level_cost_vector(
     groups: list[list[TensorOp]], splits: Sequence[int], machine: TCUMachine
 ) -> np.ndarray:
@@ -576,27 +599,26 @@ def _level_cost_vector(
     the exact order :func:`_dispatch_parallel` issues the chunks."""
     costs: list[float] = []
     for group, pieces in zip(groups, splits, strict=True):
-        rows = _group_rows(group)
-        for lo, hi in _split_bounds(rows, pieces):
-            costs.append(modelled_call_cost(machine, hi - lo, group[0].dtype))
+        costs += _chunk_costs(machine, _group_rows(group), _group_complex(group), pieces)
     return np.asarray(costs, dtype=np.float64)
 
 
 def _level_makespan(
     groups: list[list[TensorOp]], splits: Sequence[int], machine: TCUMachine
 ) -> float:
-    """Modelled tensor makespan of one level under the given splits.
-
-    Uses the machine's own scheduling policy over its unit count, so the
-    prediction is the same schedule ``mm_batch`` will compute at
-    dispatch; returns ``inf`` for configurations the policy refuses
-    (the exact oracle's job-count limit), which the chooser treats as
-    infeasible.
-    """
+    """Modelled tensor makespan of one level under the given splits."""
     units = int(getattr(machine, "units", 1))
     costs = _level_cost_vector(groups, splits, machine)
     if units <= 1:
         return float(costs.sum())
+    return _costs_makespan(costs, machine, units)
+
+
+def _costs_makespan(costs: np.ndarray, machine: TCUMachine, units: int) -> float:
+    """Makespan of a level's chunk costs under the machine's own
+    scheduling policy — the same schedule ``mm_batch`` computes at
+    dispatch; ``inf`` for configurations the policy refuses (the exact
+    oracle's job-count limit), which the chooser treats as infeasible."""
     try:
         return schedule_batch(costs, units, machine.scheduler).makespan
     except ValueError:
@@ -605,9 +627,35 @@ def _level_makespan(
 
 def _choose_level_splits(
     groups: list[list[TensorOp]], machine: TCUMachine
-) -> list[int]:
+) -> tuple[list[int], float]:
     """Pick the split factor per merge group minimising the level's
-    modelled makespan (ties break toward fewer calls).
+    modelled makespan (ties break toward fewer calls); returns the
+    factors and the level's modelled makespan under them.
+
+    The decision depends only on the machine's cost model and on each
+    group's ``(rows, complex)`` shape, so it is memoised on the machine
+    under ``(config_key(), shapes)``: a kernel that rebuilds the same
+    level — a closure pivot, a re-planned serving batch — searches once.
+    Every hit returns a fresh list.
+    """
+    shape = tuple((_group_rows(g), _group_complex(g)) for g in groups)
+    key = (machine.config_key(), shape)
+    memo = machine._split_memo
+    hit = memo.get(key)
+    if hit is None:
+        hit = _search_level_splits(shape, machine)
+        if len(memo) >= _SPLIT_MEMO_LIMIT:
+            del memo[next(iter(memo))]
+        memo[key] = hit
+    splits, span = hit
+    return list(splits), span
+
+
+def _search_level_splits(
+    shape: tuple[tuple[int, bool], ...], machine: TCUMachine
+) -> tuple[tuple[int, ...], float]:
+    """The split search behind :func:`_choose_level_splits`, over the
+    level's per-group ``(rows, complex)`` shape.
 
     Small candidate spaces are searched exhaustively — there the chosen
     configuration *is* the optimum over row-balanced splits under the
@@ -615,22 +663,36 @@ def _choose_level_splits(
     assert.  Larger levels run coordinate descent from the all-ones
     legacy schedule, accepting only strict improvements, so the result
     is never worse than not splitting.
+
+    Each distinct ``(rows, complex, pieces)`` chunk list is priced once;
+    a candidate's cost vector is the concatenation of its groups' lists
+    and is scheduled by the machine's own policy, so every makespan —
+    and every tie-break — is the float :func:`_level_makespan` gives.
     """
     units = int(getattr(machine, "units", 1))
-    best = [1] * len(groups)
-    if units <= 1 or not groups:
-        return best
-    caps = [_split_cap(g, machine, units) for g in groups]
-    if all(cap == 1 for cap in caps):
-        return best
-    best_span = _level_makespan(groups, best, machine)
-    if best_span <= 0.0:
-        return best
+    s = machine.sqrt_m
+    caps = [max(1, min(units, rows // s)) for rows, _ in shape]
+    table = {
+        (rows, is_complex, pieces): _chunk_costs(machine, rows, is_complex, pieces)
+        for (rows, is_complex), cap in set(zip(shape, caps, strict=True))
+        for pieces in range(1, cap + 1)
+    }
+
+    def cost_vector(splits: Sequence[int]) -> np.ndarray:
+        costs: list[float] = []
+        for (rows, is_complex), pieces in zip(shape, splits, strict=True):
+            costs += table[rows, is_complex, pieces]
+        return np.asarray(costs, dtype=np.float64)
+
+    best = [1] * len(shape)
+    unsplit = cost_vector(best)
+    best_span = _costs_makespan(unsplit, machine, units)
+    if all(cap == 1 for cap in caps) or best_span <= 0.0:
+        return tuple(best), best_span
     # a perfectly balanced unsplit schedule is already optimal:
     # splitting only adds latency, and serial/p lower-bounds every split
-    serial = float(_level_cost_vector(groups, best, machine).sum())
-    if best_span == serial / units:
-        return best
+    if best_span == float(unsplit.sum()) / units:
+        return tuple(best), best_span
 
     def better(span: float, splits: list[int]) -> bool:
         return span < best_span or (
@@ -647,10 +709,10 @@ def _choose_level_splits(
             splits = list(cand)
             if splits == best:
                 continue
-            span = _level_makespan(groups, splits, machine)
+            span = _costs_makespan(cost_vector(splits), machine, units)
             if better(span, splits):
                 best, best_span = splits, span
-        return best
+        return tuple(best), best_span
     for _ in range(_SPLIT_DESCENT_PASSES):
         changed = False
         for gi, cap in enumerate(caps):
@@ -659,13 +721,13 @@ def _choose_level_splits(
                     continue
                 trial = list(best)
                 trial[gi] = factor
-                span = _level_makespan(groups, trial, machine)
+                span = _costs_makespan(cost_vector(trial), machine, units)
                 if better(span, trial):
                     best, best_span = trial, span
                     changed = True
         if not changed:
             break
-    return best
+    return tuple(best), best_span
 
 
 def plan_program(
@@ -761,17 +823,19 @@ def plan_program(
     splits: list[list[int]] = []
     modelled: list[float] = []
     for level_groups, _ in levels:
-        if split == "auto":
-            chosen = _choose_level_splits(level_groups, machine)
-        elif split == 1 or units <= 1:
-            chosen = [1] * len(level_groups)
+        if split == "auto" and units > 1 and level_groups:
+            chosen, span = _choose_level_splits(level_groups, machine)
         else:
-            chosen = [
-                min(int(split), _split_cap(g, machine, units))
-                for g in level_groups
-            ]
+            if split == "auto" or split == 1 or units <= 1:
+                chosen = [1] * len(level_groups)
+            else:
+                chosen = [
+                    min(int(split), _split_cap(g, machine, units))
+                    for g in level_groups
+                ]
+            span = _level_makespan(level_groups, chosen, machine)
         splits.append(chosen)
-        modelled.append(_level_makespan(level_groups, chosen, machine))
+        modelled.append(span)
 
     stats = PlanStats(
         ops=len(program.ops),
@@ -1215,12 +1279,15 @@ class CompiledCursor:
             # trace columns verbatim (mm_batch's own accounting), after
             # the same machine-binding check the public path enforces
             led._check_bound(s, ell)
-            led.tensor_time += charges.tensor_time
-            led.latency_time += charges.latency_time
-            led.tensor_calls += charges.tensor_calls
-            led._bump_sections(charges.tensor_time + charges.latency_time)
-            led.record_calls_bulk(
-                charges.ns, s, charges.times, charges.lats, units=charges.units
+            led.charge_tensor_batch(
+                charges.tensor_time,
+                charges.latency_time,
+                charges.tensor_calls,
+                charges.ns,
+                s,
+                charges.times,
+                charges.lats,
+                units=charges.units,
             )
         if charges.cpu_time:
             led.charge_cpu(charges.cpu_time)

@@ -13,6 +13,11 @@ so the CLI, CI gate and tests select them with a string.
             inside a function with no ``charge_*`` call reachable —
             the PR 1 free-padding / PR 3 ``mm_batch`` undercharge
             class.
+``LED002``  A write to a ledger counter (``tensor_time``/
+            ``latency_time``/``cpu_time``/``reload_time``/
+            ``wasted_time``/``tensor_calls``) outside
+            ``repro.core.ledger`` — it bypasses ``on_charge`` and the
+            section totals (the parallel telemetry bug).
 ``DET001``  Randomness outside a seeded stream (unseeded
             ``default_rng()``, module-level ``np.random.*``,
             ``random.*``, wall-clock ``time.*``) in ``repro.core`` /
@@ -54,6 +59,7 @@ from .engine import Finding, LintContext
 __all__ = [
     "LintRule",
     "UnchargedHardwareOp",
+    "LedgerCounterWrite",
     "UnseededRandomness",
     "OrderInsensitiveSeed",
     "RegistryDiscipline",
@@ -277,6 +283,89 @@ class UnchargedHardwareOp(LintRule):
                             f"charge_* call is reachable in {qual}() — hardware "
                             "work must be priced through the ledger",
                         )
+
+
+# ----------------------------------------------------------------------
+# LED002 — ledger counters are written by the ledger alone
+# ----------------------------------------------------------------------
+_LEDGER_COUNTERS = frozenset(
+    (
+        "tensor_time",
+        "latency_time",
+        "cpu_time",
+        "reload_time",
+        "wasted_time",
+        "tensor_calls",
+    )
+)
+
+
+class LedgerCounterWrite(LintRule):
+    """Ledger counters change only through :class:`CostLedger` methods.
+
+    ``ParallelTCUMachine.mm_batch`` and ``CompiledCursor`` once added
+    makespans to ``tensor_time`` / ``latency_time`` / ``tensor_calls``
+    by hand.  The totals were right, but the charges never reached the
+    ledger's ``on_charge`` hook, so traced serving on every parallel
+    machine reported ``ledger_tensor_time`` as 0.  Any assignment,
+    augmented assignment or ``setattr`` of a counter attribute outside
+    ``repro.core.ledger`` is flagged; charge through a ledger method
+    (``charge_tensor_batch`` for makespan-scaled batches) instead.
+    """
+
+    code = "LED002"
+    name = "ledger-counter-write"
+    description = (
+        "ledger counter attribute written outside repro.core.ledger "
+        "instead of charged through a CostLedger method"
+    )
+
+    def applies(self, ctx: LintContext) -> bool:
+        return ctx.module.startswith("repro.") and ctx.module != "repro.core.ledger"
+
+    @staticmethod
+    def _targets(node: ast.AST) -> list[ast.expr]:
+        if isinstance(node, ast.Assign):
+            return list(node.targets)
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        return []
+
+    @staticmethod
+    def _written(target: ast.expr) -> Iterator[ast.Attribute]:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                yield from LedgerCounterWrite._written(elt)
+        elif isinstance(target, ast.Starred):
+            yield from LedgerCounterWrite._written(target.value)
+        elif isinstance(target, ast.Attribute) and target.attr in _LEDGER_COUNTERS:
+            yield target
+
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            for target in self._targets(node):
+                for attr in self._written(target):
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"{dotted_name(attr) or attr.attr} is written directly; "
+                        "ledger counters change only inside repro.core.ledger "
+                        "(charge through a CostLedger method so on_charge and "
+                        "section totals see it)",
+                    )
+            if (
+                isinstance(node, ast.Call)
+                and call_target(node) == "setattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in _LEDGER_COUNTERS
+            ):
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"setattr(..., {node.args[1].value!r}, ...) writes a ledger "
+                    "counter directly; charge through a CostLedger method",
+                )
 
 
 # ----------------------------------------------------------------------
@@ -859,6 +948,7 @@ class RecomputedTraceTimestamp(LintRule):
 
 for _rule in (
     UnchargedHardwareOp(),
+    LedgerCounterWrite(),
     UnseededRandomness(),
     OrderInsensitiveSeed(),
     RegistryDiscipline(),

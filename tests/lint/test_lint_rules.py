@@ -86,6 +86,45 @@ class TestLED001:
 
 
 # ----------------------------------------------------------------------
+# LED002
+# ----------------------------------------------------------------------
+class TestLED002:
+    def test_fires_on_counter_writes(self):
+        findings = lint_fixture(
+            "led002_fires.py", "repro.core.fixture", select=["LED002"]
+        )
+        fired = active(findings, "LED002")
+        # three augmented writes, a two-target tuple, an annotated
+        # write and a setattr — one finding per counter written
+        assert len(fired) == 7
+        msgs = " ".join(f.message for f in fired)
+        for counter in (
+            "tensor_time", "latency_time", "tensor_calls",
+            "cpu_time", "reload_time", "wasted_time",
+        ):
+            assert counter in msgs
+        assert "setattr" in msgs
+
+    def test_reasoned_suppression_honoured(self):
+        findings = lint_fixture(
+            "led002_fires.py", "repro.serve.fixture", select=["LED002"]
+        )
+        assert len(suppressed(findings, "LED002")) == 1
+
+    def test_clean_on_reads_and_ledger_methods(self):
+        findings = lint_fixture(
+            "led002_clean.py", "repro.core.fixture", select=["LED002"]
+        )
+        assert findings == []
+
+    def test_ledger_module_owns_its_counters(self):
+        findings = lint_fixture(
+            "led002_fires.py", "repro.core.ledger", select=["LED002"]
+        )
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
 # DET001
 # ----------------------------------------------------------------------
 class TestDET001:
@@ -296,6 +335,7 @@ class TestRuleRegistry:
         codes = available_rules()
         for code in (
             "LED001",
+            "LED002",
             "DET001",
             "DET002",
             "REG001",
