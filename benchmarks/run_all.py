@@ -7,10 +7,10 @@ Three sections are produced:
 * ``theorems`` — one direct smoke scenario per theorem: wall-clock
   seconds, charged model time and tensor-call count, so regressions in
   either real speed or accounting show up side by side.
-* ``exec_paths`` — the Theorem 2 product timed through all four
-  execution paths (eager, planned-unfused, fused, cost-only) with
-  speedups relative to the planned-unfused baseline — the before/after
-  record for the fused-execution work.
+* ``exec_paths`` — the Theorem 2 product timed through the routes a
+  machine can pick for it (the planned program executor, the direct
+  fused grid kernel, cost-only) with speedups relative to the planned
+  program, and identical ledgers asserted across all three.
 * ``benches`` — every ``benchmarks/bench_*.py`` file run through pytest
   with ``--benchmark-disable`` (each timed body executes once): per-file
   wall clock and pass/fail.
@@ -167,36 +167,24 @@ def _planned_product(machine, A, B):
 
 
 def exec_path_comparison(n: int, m: int = 256, ell: float = 32.0) -> dict:
-    """The Theorem 2 product through all four execution paths."""
+    """The Theorem 2 product through the program executor, the direct
+    fused grid kernel and cost-only charging."""
     A = RNG.random((n, n))
     B = RNG.random((n, n))
 
-    eager = TCUMachine(m=m, ell=ell)
-    wall_eager, _ = timed(lambda: matmul(eager, A, B, plan=False))
-
-    unfused = TCUMachine(m=m, ell=ell)
-
-    def run_unfused():
-        program = TensorProgram()
-        lazy = _emit_theorem2(unfused, program, *_pad_operands(unfused, A, B, True))
-        run_program(program, unfused, fused=False)
-        return lazy.result()
-
-    wall_unfused, _ = timed(run_unfused)
+    planned = TCUMachine(m=m, ell=ell)
+    wall_planned, _ = timed(lambda: _planned_product(planned, A, B))
 
     fused = TCUMachine(m=m, ell=ell)
-    wall_fused, _ = timed(lambda: matmul(fused, A, B, plan=True))
+    wall_fused, _ = timed(lambda: matmul(fused, A, B))
 
     cost = TCUMachine(m=m, ell=ell, execute="cost-only")
-    wall_cost, _ = timed(lambda: matmul(cost, A, B, plan=True))
+    wall_cost, _ = timed(lambda: matmul(cost, A, B))
 
     wall_numpy, _ = timed(lambda: A @ B)
 
     ledgers_equal = (
-        eager.ledger.snapshot()
-        == unfused.ledger.snapshot()
-        == fused.ledger.snapshot()
-        == cost.ledger.snapshot()
+        planned.ledger.snapshot() == fused.ledger.snapshot() == cost.ledger.snapshot()
     )
     return {
         "n": n,
@@ -207,14 +195,13 @@ def exec_path_comparison(n: int, m: int = 256, ell: float = 32.0) -> dict:
         "ledgers_identical": ledgers_equal,
         "wall_s": {
             "numpy_raw": round(wall_numpy, 6),
-            "eager": round(wall_eager, 6),
-            "planned_unfused": round(wall_unfused, 6),
+            "planned": round(wall_planned, 6),
             "fused": round(wall_fused, 6),
             "cost_only": round(wall_cost, 6),
         },
-        "speedup_vs_planned_unfused": {
-            "fused": round(wall_unfused / wall_fused, 2),
-            "cost_only": round(wall_unfused / wall_cost, 2),
+        "speedup_vs_planned": {
+            "fused": round(wall_planned / wall_fused, 2),
+            "cost_only": round(wall_planned / wall_cost, 2),
         },
         "overhead_vs_numpy": {
             "fused": round(wall_fused / wall_numpy, 2),
@@ -391,13 +378,13 @@ def main(argv=None) -> int:
     paths = report["exec_paths"]
     print(f"wrote {args.out}")
     print(
-        "exec paths @ n={n}: unfused {planned_unfused}s -> fused {fused}s, "
+        "exec paths @ n={n}: planned {planned}s -> fused {fused}s, "
         "cost-only {cost_only}s".format(n=paths["n"], **paths["wall_s"])
     )
     print(
-        "speedups vs planned-unfused: fused {fused}x, cost-only {cost_only}x; "
+        "speedups vs planned: fused {fused}x, cost-only {cost_only}x; "
         "ledgers identical: {ok}".format(
-            ok=paths["ledgers_identical"], **paths["speedup_vs_planned_unfused"]
+            ok=paths["ledgers_identical"], **paths["speedup_vs_planned"]
         )
     )
     serving = report.get("serving")

@@ -24,7 +24,7 @@ charging path is identical either way).
 from __future__ import annotations
 
 import math
-from typing import Literal
+from typing import Any, Literal
 
 import numpy as np
 
@@ -416,18 +416,28 @@ class TCUMachine:
             self.check_overflow,
         )
 
+    def init_kwargs(self) -> dict[str, Any]:
+        """The keyword arguments that rebuild this machine's parameters.
+
+        Everything the constructor takes except ``m``, ``ell`` and the
+        ledger.  Subclasses with extra constructor parameters (units,
+        scheduler, precision) extend the dict, so :meth:`fork` rebuilds
+        every subclass without repeating the list.
+        """
+        return {
+            "kappa": self.kappa,
+            "max_rows": self.max_rows,
+            "complex_cost_factor": self.complex_cost_factor,
+            "backend": self.backend,
+            "execute": self.execute,
+            "check_overflow": self.check_overflow,
+        }
+
     def fork(self) -> "TCUMachine":
-        """A machine with identical parameters and a fresh ledger."""
+        """A machine with identical parameters and trace mode and a
+        fresh ledger."""
         return type(self)(
-            self.m,
-            self.ell,
-            kappa=self.kappa,
-            max_rows=self.max_rows,
-            complex_cost_factor=self.complex_cost_factor,
-            backend=self.backend,
-            execute=self.execute,
-            check_overflow=self.check_overflow,
-            trace_calls=self.ledger.trace_calls,
+            self.m, self.ell, trace_calls=self.ledger.trace_calls, **self.init_kwargs()
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -48,6 +48,7 @@ The obvious consequences the benches measure:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -291,22 +292,10 @@ class ParallelTCUMachine(TCUMachine):
         scheduling policy (both change makespans, hence charges)."""
         return super().config_key() + (self.units, self.scheduler.name)
 
-    def fork(self) -> "ParallelTCUMachine":
-        """A machine with identical parameters (including the unit
-        count and scheduling policy) and a fresh ledger."""
-        return type(self)(
-            self.m,
-            self.ell,
-            units=self.units,
-            scheduler=self.scheduler,
-            kappa=self.kappa,
-            max_rows=self.max_rows,
-            complex_cost_factor=self.complex_cost_factor,
-            backend=self.backend,
-            execute=self.execute,
-            check_overflow=self.check_overflow,
-            trace_calls=self.ledger.trace_calls,
-        )
+    def init_kwargs(self) -> dict[str, Any]:
+        """Extends the base constructor keywords with the unit count and
+        the scheduling policy."""
+        return {**super().init_kwargs(), "units": self.units, "scheduler": self.scheduler}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -52,9 +52,7 @@ class Plannable(Protocol):
     """What compilation needs from a request type — structural, so the
     serve-layer types satisfy it without a core -> serve import."""
 
-    def plan(self, machine: TCUMachine, rows: Sequence[int]) -> Plan | None: ...
-
-    def serve(self, machine: TCUMachine, rows: Sequence[int]) -> None: ...
+    def plan(self, machine: TCUMachine, rows: Sequence[int]) -> Plan: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +115,7 @@ class CompiledPlan:
         run-to-exhaustion replay then costs a single bulk charge.
         ``None`` when per-level replay is required for bit-identity.
     stats:
-        The live plan's :class:`~repro.core.program.PlanStats`
-        (``None`` for legacy-atomic kinds frozen from ``serve()``).
+        The live plan's :class:`~repro.core.program.PlanStats`.
     """
 
     kind: str
@@ -129,7 +126,7 @@ class CompiledPlan:
     levels: tuple[LevelCharges, ...]
     reload_words: tuple[int, ...]
     coalesced: LevelCharges | None
-    stats: PlanStats | None
+    stats: PlanStats
 
     @property
     def total_levels(self) -> int:
@@ -211,10 +208,7 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
     Runs on ``machine.fork()`` with a fresh full-trace scratch ledger —
     the live ledger is never touched — resetting the scratch before
     every level so each captured record is the exact from-zero delta
-    that level charges.  Legacy-atomic kinds (``plan()`` is ``None``)
-    are frozen from one ``serve()`` call into a single synthetic level,
-    preserving their never-preempted semantics (a one-level cursor has
-    no interior boundary to suspend at).
+    that level charges.
     """
     rows = [int(r) for r in rows]
     probe = machine.fork()
@@ -227,26 +221,18 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
 
     levels: list[LevelCharges] = []
     reloads: list[int] = []
-    stats: PlanStats | None = None
-    if plan is None:
+    cursor = ExecutionCursor(plan, probe)
+    while not cursor.done:
+        reloads.append(cursor.resident_words())
         scratch.reset()
-        rtype.serve(probe, rows)
+        cursor.step()
+        levels.append(_capture(scratch, s, ell))
+    if not levels:
+        # a plan with no levels still owes its build charges; keep one
+        # empty level so a cursor has a step to apply them on
+        scratch.reset()
         levels.append(_capture(scratch, s, ell))
         reloads.append(0)
-    else:
-        stats = plan.stats
-        cursor = ExecutionCursor(plan, probe)
-        while not cursor.done:
-            reloads.append(cursor.resident_words())
-            scratch.reset()
-            cursor.step()
-            levels.append(_capture(scratch, s, ell))
-        if not levels:
-            # a plan with no levels still owes its build charges; keep
-            # one empty level so a cursor has a step to apply them on
-            scratch.reset()
-            levels.append(_capture(scratch, s, ell))
-            reloads.append(0)
 
     if prelude.tensor_calls == 0 and prelude.total_time == 0.0:
         prelude = None
@@ -260,7 +246,7 @@ def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> 
         levels=level_tuple,
         reload_words=tuple(reloads),
         coalesced=_coalesce(prelude, level_tuple, ell),
-        stats=stats,
+        stats=plan.stats,
     )
 
 

@@ -36,9 +36,9 @@ reorder or fuse.  This module introduces the missing seam:
 Gathering the row streams of a merged call is index arithmetic in the
 RAM model (the unit consumes rows wherever they live — the same
 convention :mod:`repro.transform.dft` uses for its strided
-re-arrangements), so a planned execution never charges more than the
-eager one: merging strictly reduces latency time and leaves throughput
-and CPU charges untouched.
+re-arrangements), so a planned execution never charges more than
+issuing the same calls one by one: merging strictly reduces latency
+time and leaves throughput and CPU charges untouched.
 
 Merging recognises a shared resident block *by buffer identity* (same
 data pointer, shape, strides and dtype — or the same producing op), not
@@ -274,7 +274,7 @@ class TensorProgram:
 
         Terms are ``(coefficient, source)`` pairs; a bare source means
         coefficient 1.  Charged one RAM unit per word per term when
-        executed — the same discipline as the eager accumulation loops.
+        executed, like any RAM-side accumulation.
         """
         if not terms:
             raise ProgramError("add requires at least one term")
@@ -484,7 +484,7 @@ def _cap_group(group: list[TensorOp], max_rows: int | None) -> list[list[TensorO
     charging reassembly copies, i.e. costing *more* than the calls it
     replaced.  Greedily packing ops up to the bound keeps every merged
     call a single hardware call; an op that alone exceeds the bound
-    stays a singleton (the eager path would split it identically).
+    stays a singleton (a direct :meth:`mm` would split it identically).
     """
     if max_rows is None or len(group) == 1:
         return [group]
@@ -498,7 +498,7 @@ def _cap_group(group: list[TensorOp], max_rows: int | None) -> list[list[TensorO
             current, rows = [], 0
         current.append(op)
         rows += n
-        if n > max_rows:  # oversized op: isolate, eager splits it too
+        if n > max_rows:  # oversized op: isolate, a direct mm splits it too
             out.append(current)
             current, rows = [], 0
     if current:
@@ -749,7 +749,7 @@ def plan_program(
         plan time rather than mid-execution.
     merge:
         Disable to keep one tensor call per ``mm`` node (the planned
-        schedule then matches the eager call sequence exactly).
+        schedule then matches issuing every node as its own call).
     split:
         ``"auto"`` (default) prices, for each merged call group on a
         parallel machine, the modelled makespan of dispatching the
@@ -960,7 +960,7 @@ def _dispatch_grid(groups: list[list[TensorOp]], machine: TCUMachine) -> None:
             n_g = _group_rows(g)
             if machine.max_rows is not None and n_g > machine.max_rows:
                 # the hardware would split this stream: scalar call so
-                # the per-chunk charges match the eager path
+                # the per-chunk charges match a direct mm call
                 dt = np.dtype(g[0].dtype)
                 machine.mm(placeholder((n_g, s), dt), placeholder((s, s), dt))
                 _scatter_placeholders(g)
@@ -1017,7 +1017,6 @@ def _execute_level(
     groups: list[list[TensorOp]],
     others: list[TensorOp],
     machine: TCUMachine,
-    fused: bool,
     splits: Sequence[int] | None = None,
 ) -> None:
     """Execute one planned level: its merged call groups, then its
@@ -1029,15 +1028,8 @@ def _execute_level(
             or (splits is not None and any(f > 1 for f in splits))
         ):
             _dispatch_parallel(groups, machine, cost_only, splits)
-        elif fused:
-            _dispatch_grid(groups, machine)
         else:
-            for g in groups:
-                out = machine.mm(_group_operands(g), _resolve(g[0].b))
-                if cost_only:
-                    _scatter_placeholders(g)
-                else:
-                    _scatter_group(g, out)
+            _dispatch_grid(groups, machine)
     for op in others:
         words = 1
         for dim in op.shape:
@@ -1117,10 +1109,9 @@ class ExecutionCursor:
         bit-identical with or without it.
     """
 
-    def __init__(self, plan: Plan, machine: TCUMachine, *, fused: bool = True) -> None:
+    def __init__(self, plan: Plan, machine: TCUMachine) -> None:
         self.plan = plan
         self.machine = machine
-        self.fused = fused
         self.next_level = 0
         self.level_times: list[float] = []
         self.observer: Callable[[int, float], None] | None = None
@@ -1148,7 +1139,7 @@ class ExecutionCursor:
             else None
         )
         with self.machine.ledger.stopwatch() as span:
-            _execute_level(groups, others, self.machine, self.fused, splits)
+            _execute_level(groups, others, self.machine, splits)
         self.next_level += 1
         self.level_times.append(span.elapsed)
         if self.observer is not None:
@@ -1360,39 +1351,35 @@ class CompiledCursor:
         return self.machine.ledger.charge_reload(self.resident_words())
 
 
-def execute_plan(plan: Plan, machine: TCUMachine, *, fused: bool = True) -> None:
+def execute_plan(plan: Plan, machine: TCUMachine) -> None:
     """Run a plan to exhaustion, charging the machine's ledger, and
     populate ``op.value`` on every node.
 
     A thin wrapper over :class:`ExecutionCursor` (construct + ``run()``),
     kept as the one-shot entry point every offline kernel uses.
 
-    With ``fused=True`` (default) each level's merged call groups are
-    bucketed and issued through the bulk :meth:`TCUMachine.mm_grid`
-    primitive — one stacked numpy product and one vectorised ledger
-    charge per bucket instead of a Python-level call per op.
-    ``fused=False`` replays the per-group scalar schedule (the
-    pre-fusion executor, kept as the equivalence reference).  On a
-    :class:`~repro.core.parallel.ParallelTCUMachine`, each level's
+    On a sequential machine each level's merged call groups are bucketed
+    and issued through the bulk :meth:`TCUMachine.mm_grid` primitive —
+    one stacked numpy product and one vectorised ledger charge per
+    bucket, charge-identical to issuing the groups one call at a time.
+    On a :class:`~repro.core.parallel.ParallelTCUMachine`, each level's
     merged calls are issued as one :meth:`mm_batch` (scheduled over the
-    units by the machine's policy) in either mode and on every machine
-    configuration, including row-bounded, complex-cost, systolic and
-    overflow-checked machines.
+    units by the machine's policy) on every machine configuration,
+    including row-bounded, complex-cost, systolic and overflow-checked
+    machines.
 
     On a machine with ``execute="cost-only"`` all numeric work is
     skipped: call groups are charged from their shapes alone and every
     op's value becomes an O(1)-storage placeholder, so programs whose
     arrays would not fit in memory still charge exact ledger totals.
     """
-    ExecutionCursor(plan, machine, fused=fused).run()
+    ExecutionCursor(plan, machine).run()
 
 
 def run_program(
     program: TensorProgram,
     machine: TCUMachine,
     *,
-    merge: bool = True,
-    fused: bool = True,
     split: str | int = "auto",
 ) -> Plan:
     """Plan then execute a program; returns the plan (for its stats).
@@ -1402,6 +1389,6 @@ def run_program(
     the modelled makespan wins, ``1`` keeps the legacy one-call-per-group
     schedule, an integer forces that factor.
     """
-    plan = plan_program(program, machine, merge=merge, split=split)
-    execute_plan(plan, machine, fused=fused)
+    plan = plan_program(program, machine, split=split)
+    execute_plan(plan, machine)
     return plan

@@ -27,6 +27,7 @@ mixed-precision FFT work the paper cites).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -107,6 +108,10 @@ class QuantizedTCUMachine(TCUMachine):
         should a format ever grow its own cost rule.
         """
         return super().config_key() + (self.precision,)
+
+    def init_kwargs(self) -> dict[str, Any]:
+        """Extends the base constructor keywords with the precision."""
+        return {**super().init_kwargs(), "precision": self.precision}
 
     def _quantize(self, x: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(x):

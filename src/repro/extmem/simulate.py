@@ -20,9 +20,9 @@ the ledger's columnar :class:`~repro.core.ledger.CallTrace` (vectorised,
 no per-call objects) and ``trace_calls="aggregate"`` ledgers replay
 from their per-shape histogram in O(distinct shapes) work.  Planned
 executions (:mod:`repro.core.program`) therefore replay through the
-same entry point as eager ones; in the weak accounting a call merged
-from block-aligned streams costs exactly the I/Os of the calls it
-replaced (``ceil`` is additive on multiples of ``sqrt(m)``).
+same entry point as directly issued calls; in the weak accounting a
+call merged from block-aligned streams costs exactly the I/Os of the
+calls it replaced (``ceil`` is additive on multiples of ``sqrt(m)``).
 """
 
 from __future__ import annotations

@@ -14,18 +14,23 @@ model time; :func:`matmul` generalises the same schedule to arbitrary
 ``Theta(rn/sqrt(m) + (r*sqrt(n)/m) l)`` for ``sqrt(n) x r`` by
 ``r x sqrt(n)`` products.
 
-Plan/execute split
+One execution path
 ------------------
-By default (``plan=True``) the schedule is *built* as a lazy
-:class:`~repro.core.program.TensorProgram` — ``mm`` nodes for the
-``C_{i,j}`` products, ``add`` nodes for the strip reductions — and
-executed through :func:`~repro.core.program.run_program`.  For a single
-product the planned charges are identical to the eager ones (there is
-nothing to merge inside one Theorem 2 grid), but the planner batches
-each DAG level on a :class:`~repro.core.parallel.ParallelTCUMachine`
-and, across products sharing a resident block (see :func:`matmul_lazy`),
-merges calls so k products pay one latency.  ``plan=False`` is the
-eager escape hatch that executes each call as it is produced.
+:func:`matmul` has one schedule and two ways to run it, chosen from the
+machine alone.  A serial machine whose ``mm`` is the plain tall call
+runs the whole strip-by-block grid directly: one vectorised ledger
+charge and, on numeric machines, one fused contraction (nothing is
+computed on ``execute="cost-only"`` machines).  Every other machine
+builds the grid as a lazy :class:`~repro.core.program.TensorProgram` —
+``mm`` nodes for the ``C_{i,j}`` products, ``add`` nodes for the strip
+reductions — and executes it through
+:func:`~repro.core.program.run_program`, which batches each DAG level
+on a :class:`~repro.core.parallel.ParallelTCUMachine` and, across
+products sharing a resident block (see :func:`matmul_lazy`), merges
+calls so k products pay one latency.  On a serial machine both charge
+a lone product exactly as issuing its ``C_{i,j}`` calls one by one
+would; the golden ledger pins in ``tests/test_golden_ledgers.py`` hold
+every machine configuration to its ledger.
 """
 
 from __future__ import annotations
@@ -80,9 +85,8 @@ def _emit_theorem2(
 
     One ``mm`` node per grid product, one ``add`` node per output
     column; the returned :class:`Lazy` assembles the padded result after
-    the program has executed.  Charges match the eager loop exactly
-    (each ``add`` term costs one RAM unit per word, like the eager
-    ``C_j += C_{i,j}`` accumulation).
+    the program has executed.  Each ``add`` term costs one RAM unit per
+    word: the ``C_j += C_{i,j}`` accumulation.
     """
     s = tcu.sqrt_m
     p_pad = Ap.shape[0]
@@ -136,7 +140,6 @@ def matmul(
     B: np.ndarray,
     *,
     charge_padding: bool = True,
-    plan: bool = True,
     split: str | int = "auto",
 ) -> np.ndarray:
     """``C = A @ B`` for arbitrary 2-D shapes via the Theorem 2 schedule.
@@ -150,23 +153,20 @@ def matmul(
     charge_padding:
         Charge the RAM-model cost of materialising padded copies (on by
         default; disable only inside algorithms that pre-pad).
-    plan:
-        Dispatch the whole schedule through the fused grid kernel (the
-        default): one vectorised ledger charge and one stacked numpy
-        contraction for the entire strip-by-block grid, cost-identical
-        to the eager loop.  Machines the fused kernel cannot express
-        exactly (parallel batch accounting, hardware row bounds that
-        split the stream, the systolic backend, quantised kernels) fall
-        back to the planned :class:`~repro.core.program.TensorProgram`
-        path.  ``False`` executes each tensor call eagerly as the
-        schedule produces it.
     split:
         Forwarded to :func:`~repro.core.program.plan_program` on the
         planned path: ``"auto"`` (default) lets the cost model split
         merged tall calls across parallel units, ``1`` pins the legacy
         one-call-per-group schedule, an explicit ``s`` forces ``s``
-        chunks per group.  Serial machines and the fused direct path
-        are unaffected (splitting is the identity there).
+        chunks per group.  Serial machines and the direct path are
+        unaffected (splitting is the identity there).
+
+    The whole grid is charged in one vectorised ledger charge and
+    computed as one stacked contraction whenever the machine allows it;
+    machines the fused kernel cannot express exactly (parallel batch
+    accounting, hardware row bounds that split the stream, the systolic
+    backend, quantised kernels, overflow checks) run the planned
+    :class:`~repro.core.program.TensorProgram` instead.
 
     On a machine with ``execute="cost-only"`` the product is never
     computed: the schedule's exact model cost is charged from shapes
@@ -191,8 +191,7 @@ def matmul(
     r_pad = ceil_to_multiple(r, s)
     cost_only = tcu.execute == "cost-only"
     direct = (
-        plan
-        and not isinstance(tcu, ParallelTCUMachine)
+        not isinstance(tcu, ParallelTCUMachine)
         and (tcu.max_rows is None or p_pad <= tcu.max_rows)
         # machines that restrict the call interface itself (the weak
         # model's square-only mm) must keep validating every call
@@ -220,21 +219,10 @@ def matmul(
     if direct:
         return _matmul_fused(tcu, Ap, Bp)[:p, :r]
 
-    if plan:
-        program = TensorProgram()
-        lazy = _emit_theorem2(tcu, program, Ap, Bp)
-        run_program(program, tcu, split=split)
-        return lazy.result()[:p, :r]
-
-    out_dtype = np.result_type(Ap.dtype, Bp.dtype)
-    C = np.zeros((Ap.shape[0], Bp.shape[1]), dtype=out_dtype)
-    for j, _, strip, block in theorem2_tasks(Ap, Bp, s):
-        # One tall tensor call: the full-height strip A_i against the
-        # resident block B_{i,j}.
-        partial = tcu.mm(strip, block)
-        C[:, j * s : (j + 1) * s] += partial
-        tcu.charge_cpu(Ap.shape[0] * s)  # the C_{i,j} accumulation
-    return C[:p, :r]
+    program = TensorProgram()
+    lazy = _emit_theorem2(tcu, program, Ap, Bp)
+    run_program(program, tcu, split=split)
+    return lazy.result()[:p, :r]
 
 
 def matmul_lazy(
@@ -288,7 +276,6 @@ def rectangular_mm(
     B: np.ndarray,
     *,
     algorithm=None,
-    plan: bool = True,
 ) -> np.ndarray:
     """Corollary 1: multiply ``sqrt(n) x r`` by ``r x sqrt(n)``.
 
@@ -297,17 +284,17 @@ def rectangular_mm(
     :class:`~repro.matmul.strassen.BilinearAlgorithm` instead decomposes
     the product into ``t x t`` squares with ``t = min(sqrt(n), r)`` and
     runs the Strassen-like recursion of Theorem 1 on each square, as the
-    corollary's proof prescribes.  With ``plan=True`` all the square
-    subproducts' leaf calls join one program and are planned together.
+    corollary's proof prescribes; all the square subproducts' leaf
+    calls join one program and are planned together.
     """
     A = np.asarray(A)
     B = np.asarray(B)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} @ {B.shape}")
     if algorithm is None:
-        return matmul(tcu, A, B, plan=plan)
+        return matmul(tcu, A, B)
 
-    from .strassen import default_cutoff, strassen_like_lazy, strassen_like_mm
+    from .strassen import default_cutoff, strassen_like_lazy
 
     p, q = A.shape
     _, r = B.shape
@@ -323,41 +310,26 @@ def rectangular_mm(
     Bp = pad_matrix(B, q_pad, r_pad)
     C = np.zeros((p_pad, r_pad), dtype=np.result_type(Ap.dtype, Bp.dtype))
 
-    if plan:
-        # All t x t subproducts are independent: build their recursions
-        # into one shared program so every leaf call is planned (and on
-        # parallel machines batched) together.
-        program = TensorProgram()
-        cutoff = default_cutoff(tcu, algorithm)
-        tasks = []
-        for bi in range(p_pad // t_pad):
-            for bj in range(r_pad // t_pad):
-                for bk in range(q_pad // t_pad):
-                    blockA = Ap[
-                        bi * t_pad : (bi + 1) * t_pad, bk * t_pad : (bk + 1) * t_pad
-                    ]
-                    blockB = Bp[
-                        bk * t_pad : (bk + 1) * t_pad, bj * t_pad : (bj + 1) * t_pad
-                    ]
-                    lazy = strassen_like_lazy(
-                        tcu, program, blockA, blockB, algorithm=algorithm, cutoff=cutoff
-                    )
-                    tasks.append((bi, bj, lazy))
-        run_program(program, tcu)
-        for bi, bj, lazy in tasks:
-            acc = C[bi * t_pad : (bi + 1) * t_pad, bj * t_pad : (bj + 1) * t_pad]
-            acc += lazy.result()
-            tcu.charge_cpu(t_pad * t_pad)
-        return C[:p, :r]
-
+    # All t x t subproducts are independent: build their recursions into
+    # one shared program so every leaf call is planned (and on parallel
+    # machines batched) together.
+    program = TensorProgram()
+    cutoff = default_cutoff(tcu, algorithm)
+    tasks = []
     for bi in range(p_pad // t_pad):
         for bj in range(r_pad // t_pad):
-            acc = C[bi * t_pad : (bi + 1) * t_pad, bj * t_pad : (bj + 1) * t_pad]
             for bk in range(q_pad // t_pad):
                 blockA = Ap[bi * t_pad : (bi + 1) * t_pad, bk * t_pad : (bk + 1) * t_pad]
                 blockB = Bp[bk * t_pad : (bk + 1) * t_pad, bj * t_pad : (bj + 1) * t_pad]
-                acc += strassen_like_mm(tcu, blockA, blockB, algorithm=algorithm, plan=False)
-                tcu.charge_cpu(t_pad * t_pad)
+                lazy = strassen_like_lazy(
+                    tcu, program, blockA, blockB, algorithm=algorithm, cutoff=cutoff
+                )
+                tasks.append((bi, bj, lazy))
+    run_program(program, tcu)
+    for bi, bj, lazy in tasks:
+        acc = C[bi * t_pad : (bi + 1) * t_pad, bj * t_pad : (bj + 1) * t_pad]
+        acc += lazy.result()
+        tcu.charge_cpu(t_pad * t_pad)
     return C[:p, :r]
 
 

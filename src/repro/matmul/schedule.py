@@ -93,7 +93,7 @@ def theorem2_tasks(
     Yields one task per ``C_{i,j} = A_i B_{i,j}`` product of the padded
     operands — the tall column strip ``A_i`` (a view) against the
     resident block ``B_{i,j}`` — in output-column-major order, the order
-    both the eager executor and the lazy program builder issue them in.
+    the lazy program builder issues them in.
     """
     p_pad, q_pad = Ap.shape
     q2, r_pad = Bp.shape

@@ -16,6 +16,12 @@ the blocked Theorem 2 schedule — giving TCU time
 the classical 2x2 algorithm (n0 = 4, p0 = 8, omega0 = 3/2) and Strassen
 (n0 = 4, p0 = 7, omega0 = log4 7 ~ 1.404) share one recursion engine;
 any other (n0, p0) scheme can be plugged in the same way.
+
+The recursion never waits on a tensor result — every operand
+combination is RAM work on the inputs — so :func:`strassen_like_mm`
+builds all its leaf Theorem 2 schedules into one
+:class:`~repro.core.program.TensorProgram`, runs it once (one batched
+level on parallel machines) and assembles ``C`` bottom-up.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ import numpy as np
 
 from ..core.machine import TCUMachine
 from ..core.program import Lazy, TensorProgram, run_program
-from .dense import matmul as dense_matmul
 from .dense import matmul_lazy
 from .schedule import ceil_to_multiple, pad_matrix
 
@@ -202,7 +207,6 @@ def strassen_like_mm(
     *,
     algorithm: BilinearAlgorithm = STRASSEN_2X2,
     cutoff: int | None = None,
-    plan: bool = True,
 ) -> np.ndarray:
     """Theorem 1: recursive Strassen-like product with a TCU base case.
 
@@ -211,17 +215,13 @@ def strassen_like_mm(
     switches to the Theorem 2 blocked schedule once the side is at most
     ``cutoff`` (default: the paper's ``sqrt(m * n0)`` boundary).
 
-    With ``plan=True`` (default) the recursion *builds* all its leaf
-    Theorem 2 schedules into one :class:`TensorProgram` — the leaves'
-    operands are pure CPU combinations of the inputs, so every leaf call
-    is independent and lands in a single plan level, batched on parallel
-    machines — then executes the program once and assembles the result
-    bottom-up.  ``plan=False`` runs the classic eager recursion; the two
-    charge the ledger identically on a sequential machine.
+    The recursion *builds* all its leaf Theorem 2 schedules into one
+    :class:`TensorProgram` — the leaves' operands are pure CPU
+    combinations of the inputs, so every leaf call is independent and
+    lands in a single plan level, batched on parallel machines — then
+    executes the program once and assembles the result bottom-up.
     """
     A, B, cutoff = _validated(tcu, A, B, algorithm, cutoff)
-    if not plan:
-        return _recurse(tcu, A, B, algorithm, cutoff)
     program = TensorProgram()
     lazy = _recurse_lazy(tcu, program, A, B, algorithm, cutoff)
     run_program(program, tcu)
@@ -248,47 +248,6 @@ def strassen_like_lazy(
     return _recurse_lazy(tcu, program, A, B, algorithm, cutoff)
 
 
-def _recurse(
-    tcu: TCUMachine,
-    A: np.ndarray,
-    B: np.ndarray,
-    alg: BilinearAlgorithm,
-    cutoff: int,
-) -> np.ndarray:
-    side = A.shape[0]
-    if side <= cutoff:
-        return dense_matmul(tcu, A, B, plan=False)
-    b = alg.block
-    padded = ceil_to_multiple(side, b)
-    if padded != side:
-        tcu.charge_cpu(2 * padded * padded)
-        A = pad_matrix(A, padded, padded)
-        B = pad_matrix(B, padded, padded)
-    sub = padded // b
-    blocksA = [[A[i * sub : (i + 1) * sub, j * sub : (j + 1) * sub] for j in range(b)] for i in range(b)]
-    blocksB = [[B[i * sub : (i + 1) * sub, j * sub : (j + 1) * sub] for j in range(b)] for i in range(b)]
-    dtype = np.result_type(A.dtype, B.dtype)
-
-    prods: list[np.ndarray] = []
-    for a_coeffs, b_coeffs in alg.products:
-        left = _combine(tcu, blocksA, a_coeffs, sub, dtype)
-        right = _combine(tcu, blocksB, b_coeffs, sub, dtype)
-        prods.append(_recurse(tcu, left, right, alg, cutoff))
-
-    C = np.zeros((padded, padded), dtype=dtype)
-    for (i, j), terms in alg.c_terms.items():
-        out = C[i * sub : (i + 1) * sub, j * sub : (j + 1) * sub]
-        for idx, coef in terms:
-            if coef == 1:
-                out += prods[idx]
-            elif coef == -1:
-                out -= prods[idx]
-            else:
-                out += coef * prods[idx]
-            tcu.charge_cpu(sub * sub)
-    return C[:side, :side]
-
-
 def _recurse_lazy(
     tcu: TCUMachine,
     program: TensorProgram,
@@ -303,8 +262,8 @@ def _recurse_lazy(
     they never depend on a tensor result, so every leaf ``mm`` node is
     dependency-free and the planner sees the whole recursion as one flat
     level of independent calls.  The returned :class:`Lazy` performs the
-    bottom-up ``C`` assembly (charged as in the eager path) once the
-    program has run.
+    bottom-up ``C`` assembly (one RAM unit per word of every output
+    term) once the program has run.
     """
     side = A.shape[0]
     if side <= cutoff:

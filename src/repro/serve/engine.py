@@ -33,9 +33,9 @@ equal times, matching the run-to-completion engine's tie-breaks):
   ``reload`` category (:meth:`~repro.core.program.ExecutionCursor.charge_reload`)
   — checkpoint/restore is never free.
 
-Request types whose :meth:`plan` returns ``None`` (legacy/opaque
-``serve`` implementations) execute atomically: correct, but never
-preempted.
+Every batch runs on a cursor: a request type that does not implement
+:meth:`plan` is rejected with :class:`NotImplementedError` when its
+first batch launches.
 
 Three conservation properties pin the engine to the offline model (see
 :meth:`ServeResult.check_conservation` and the replay tests):
@@ -560,8 +560,6 @@ class _Run:
         "resumes",
         "rows",
         "rtype",
-        "exec_machine",
-        "atomic",
         "pending_fail",
         "last_span",
         "ready_at",
@@ -597,8 +595,6 @@ class _Run:
         # fault-tolerance bookkeeping (inert on a zero-fault run)
         self.rows: list[int] = []
         self.rtype = None
-        self.exec_machine: TCUMachine | None = None
-        self.atomic = False
         self.pending_fail: str | None = None
         self.last_span = 0.0
         self.ready_at = 0.0
@@ -918,13 +914,10 @@ class ServingEngine:
                 factor, corrupt = injector.draw_level()
             span_base = ledger.clock
             with ledger.section(f"serve:{run.kind}"):
-                if run.cursor is not None:
-                    if stepwise:
-                        run.cursor.step()
-                    else:
-                        run.cursor.run()
+                if stepwise:
+                    run.cursor.step()
                 else:
-                    run.rtype.serve(run.exec_machine, run.rows)  # atomic
+                    run.cursor.run()
                 if factor > 1.0:
                     # straggler: the level really ran factor-x slower;
                     # the surplus is charged (cpu) but the level still
@@ -947,9 +940,7 @@ class ServingEngine:
         def build_cursor(run: _Run, exec_machine: TCUMachine, rows: list[int]) -> None:
             """(Re)plan the batch on ``exec_machine`` — at launch, or at
             a degraded retry (a re-plan can never checkpoint-resume)."""
-            run.exec_machine = exec_machine
             run.rows = rows
-            run.atomic = False
             run.cursor = None
             with ledger.section(f"serve:{run.kind}"):
                 if cache is not None:
@@ -957,9 +948,7 @@ class ServingEngine:
                     run.cursor = CompiledCursor(compiled, exec_machine)
                 else:
                     plan = run.rtype.plan(exec_machine, rows)
-                    if plan is None:
-                        run.atomic = True  # legacy serve(): no checkpoints
-                    elif plan.levels:
+                    if plan.levels:
                         run.cursor = ExecutionCursor(plan, exec_machine)
             if tracing and stepwise and run.cursor is not None:
                 attach_level_observer(run)
@@ -1047,7 +1036,7 @@ class ServingEngine:
                     )
                     if lookups:
                         g_cache.set((cache.hits - cache_hits_start) / lookups)
-            if run.cursor is not None or run.atomic:
+            if run.cursor is not None:
                 exec_unit(run)
             else:
                 set_boundary(run)  # empty plan: completes instantly
@@ -1113,7 +1102,7 @@ class ServingEngine:
                 # (or a failure on the very first level) has no resident
                 # state to re-load and pays only the re-run levels
                 charge_resume_reload(run)
-            if run.cursor is not None or run.atomic:
+            if run.cursor is not None:
                 exec_unit(run)
             else:
                 set_boundary(run)
@@ -1187,7 +1176,7 @@ class ServingEngine:
             run.faults += 1
             if math.isnan(run.first_failure):
                 run.first_failure = clock
-            level = -1 if run.cursor is None else run.cursor.next_level - 1
+            level = run.cursor.next_level - 1
             run.attempt_spans.append(run.attempt_span)
             attempt = len(run.attempt_spans)
             fault_events.append(FaultEvent(fkind, run.index, level, attempt, clock))

@@ -69,7 +69,7 @@ class FaultEvent:
     """One injected fault, as the engine recorded it.
 
     ``kind`` is ``"transient"`` or ``"crash"``; ``level`` is the plan
-    level that was lost (``-1`` for an atomic batch); ``attempt`` is the
+    level that was lost; ``attempt`` is the
     1-based attempt number that failed; ``clock`` is the engine time the
     failure surfaced (the failed level's boundary).
     """
@@ -90,7 +90,7 @@ class FaultInjector:
     The engine consults the injector at exactly three points, all
     deterministic given the event order:
 
-    * :meth:`draw_level` — once per level (or per atomic batch) *before*
+    * :meth:`draw_level` — once per level *before*
       execution: returns ``(straggle_factor, transient_failure)``;
     * :meth:`next_crash` / :meth:`take_crash` — the crash renewal
       process, peeked against level boundaries and idle launch times and
@@ -465,17 +465,14 @@ class Degrader:
         """The cheaper serving variant: a quantized machine sharing
         ``machine``'s ledger (one clock, one conservation check), with
         the invocation latency scaled by ``ell_factor``."""
+        # the base keywords only: the twin is one serial unit, whatever
+        # subclass ``machine`` is
         return QuantizedTCUMachine(
             machine.m,
             machine.ell * self.ell_factor,
             precision=self.precision,
-            kappa=machine.kappa,
-            max_rows=machine.max_rows,
-            complex_cost_factor=machine.complex_cost_factor,
-            backend=machine.backend,
-            execute=machine.execute,
-            check_overflow=machine.check_overflow,
             ledger=machine.ledger,
+            **TCUMachine.init_kwargs(machine),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -13,11 +13,10 @@ operand of each tensor call — the §3 asymmetric call pattern that
 amortises the invocation latency ``l`` across the batch — *and* the
 engine can execute the plan level by level through an
 :class:`~repro.core.program.ExecutionCursor`, checkpointing at any
-level boundary.  :meth:`RequestType.serve` remains as the one-shot
-convenience (plan + run to exhaustion); legacy types may override it
-directly and return ``None`` from :meth:`plan`, in which case the
-engine executes their batches atomically (no preemption).  Serving cost
-is priced by the same planner, executor and ledger as every offline
+level boundary.  Every request type must implement :meth:`plan` — the
+engine has no other way to run a batch.  :meth:`RequestType.serve` is
+the one-shot convenience (plan + run to exhaustion).  Serving cost is
+priced by the same planner, executor and ledger as every offline
 experiment in the repo.
 
 Request types register by name (:func:`register_request_type`), the same
@@ -79,7 +78,6 @@ from ..transform.stencil import (
     assemble_tiles,
     extract_windows,
     heat_equation_weights,
-    stencil_tcu,
     unrolled_weights,
     window_geometry,
 )
@@ -281,8 +279,8 @@ def _emit_dft(
     a resident buffer, and :func:`~repro.transform.dft.dft_matrix` is
     lru-cached, so *independent* transforms emitted side by side into
     one program (the stencil lowering's per-request pipelines) would
-    otherwise fuse across requests and charge fewer latencies than the
-    one-call-at-a-time legacy path.  The copy itself is uncharged — the
+    otherwise fuse across requests and charge fewer latencies than
+    transforming each request on its own.  The copy itself is uncharged — the
     per-call ``size^2`` matrix load is already charged here, exactly as
     ``batched_dft`` charges it on every call despite its cache.
     """
@@ -425,7 +423,8 @@ def _emit_stencil(
     batches are preemptible and plan-cacheable like every other kind.
     Every emitted transform uses ``fresh`` Fourier-matrix copies so
     independent requests' same-level calls never fuse (which would
-    charge fewer latencies than the legacy one-request-at-a-time path).
+    charge fewer latencies than one
+    :func:`~repro.transform.stencil.stencil_tcu` call per request).
     """
     rows, cols = A.shape
     # Lemma 2 at build time (charges the machine directly, like the
@@ -485,10 +484,6 @@ class RequestType:
     machine), never on data values: that is what makes a served run
     exactly replayable from its :class:`~repro.serve.engine.BatchRecord`
     stream and lets cost-only machines serve placeholder payloads.
-
-    Legacy types may instead override :meth:`serve` directly and leave
-    :meth:`plan` returning ``None``; the engine then executes their
-    batches atomically (correct, but not preemptible).
     """
 
     name = "abstract"
@@ -496,25 +491,24 @@ class RequestType:
 
     def plan(
         self, machine: TCUMachine, rows: Sequence[int], *, split: str | int = "auto"
-    ) -> Plan | None:
+    ) -> Plan:
         """Lower a batch of ``len(rows)`` requests to an executable plan.
 
         Build-time charges (concrete padding copies, Fourier-matrix
         loads) hit the machine's ledger immediately; everything else is
-        charged when the plan's levels execute.  Returns ``None`` for
-        types with no planned lowering.
+        charged when the plan's levels execute.  Every request type must
+        override this: a batch the engine cannot plan cannot be served.
         """
-        return None
+        raise NotImplementedError(
+            f"request type {self.name!r} ({type(self).__name__}) does not "
+            "implement plan(); every request type must lower its batches "
+            "to a Plan"
+        )
 
     def serve(self, machine: TCUMachine, rows: Sequence[int]) -> None:
         """Execute a batch of ``len(rows)`` requests, charging ``machine``
         (the one-shot path: plan, then run the plan to exhaustion)."""
-        plan = self.plan(machine, rows)
-        if plan is None:
-            raise NotImplementedError(
-                f"request type {self.name!r} defines neither plan() nor serve()"
-            )
-        execute_plan(plan, machine)
+        execute_plan(self.plan(machine, rows), machine)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -651,46 +645,25 @@ class StencilRequestType(RequestType):
     emits its own transform pipeline into the shared program
     (:func:`_emit_stencil`, charge-identical to
     :func:`~repro.transform.stencil.stencil_tcu`), making stencil
-    batches preemptible and plan-cacheable like every other kind.
-
-    ``legacy_atomic=True`` restores the pre-lowering behaviour —
-    :meth:`plan` returns ``None`` and the engine executes batches
-    atomically through :func:`stencil_tcu` (never preempted) — kept as
-    the registry's opaque-``serve`` example and as the charge-parity
-    oracle for the lowering."""
+    batches preemptible and plan-cacheable like every other kind."""
 
     def __init__(
-        self,
-        name: str = "stencil",
-        steps: int = 2,
-        default_rows: int = 16,
-        legacy_atomic: bool = False,
+        self, name: str = "stencil", steps: int = 2, default_rows: int = 16
     ) -> None:
         self.name = name
         self.steps = int(steps)
         self.default_rows = int(default_rows)
-        self.legacy_atomic = bool(legacy_atomic)
         self._kernel = heat_equation_weights()
 
     def plan(
         self, machine: TCUMachine, rows: Sequence[int], *, split: str | int = "auto"
-    ) -> Plan | None:
-        if self.legacy_atomic:
-            return None
+    ) -> Plan:
         program = TensorProgram()
         for side in rows:
             side = int(side)
             A = self._payload(machine, (side, side))
             _emit_stencil(program, machine, A, self._kernel, self.steps)
         return plan_program(program, machine, split=split)
-
-    def serve(self, machine: TCUMachine, rows: Sequence[int]) -> None:
-        if not self.legacy_atomic:
-            super().serve(machine, rows)
-            return
-        for side in rows:
-            grid = self._payload(machine, (int(side), int(side)))
-            stencil_tcu(machine, grid, self._kernel, self.steps)
 
 
 _REQUEST_TYPES: dict[str, RequestType] = {}

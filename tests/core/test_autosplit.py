@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
+from machine_configs import machine_configs
 from repro import (
     CompiledCursor,
     ParallelTCUMachine,
@@ -36,15 +37,7 @@ from repro.transform.dft import batched_dft
 
 ELL = 32.0
 
-MACHINE_CONFIGS = {
-    "serial-numeric": lambda: TCUMachine(m=16, ell=ELL),
-    "serial-cost-only": lambda: TCUMachine(m=16, ell=ELL, execute="cost-only"),
-    "serial-max-rows": lambda: TCUMachine(m=16, ell=ELL, max_rows=16),
-    "parallel-3": lambda: ParallelTCUMachine(m=16, ell=ELL, units=3),
-    "parallel-cost-only": lambda: ParallelTCUMachine(
-        m=16, ell=ELL, units=2, execute="cost-only"
-    ),
-}
+MACHINE_CONFIGS = machine_configs(ELL)
 
 # Golden split=1 ledger totals for the two-product program below — the
 # exact charges the PR 9 planner produced before the splitter existed.

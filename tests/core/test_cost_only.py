@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.machine import TCUMachine, WeakTCUMachine, placeholder
+from repro.core.parallel import ParallelTCUMachine
 from repro.core.program import TensorProgram, run_program
 
 
@@ -112,17 +113,20 @@ def test_quantized_cost_only_charges_without_observing():
     assert cost.error_stats.errors == []  # no bogus 1.0 observations
 
 
-def test_overflow_checked_machines_keep_checking_on_the_fused_path():
+def test_overflow_checked_machines_keep_checking_on_every_path():
+    """Overflow checks bypass the fused grid kernel (which sums partials
+    before any value exists to check): the serial program path and the
+    parallel batch both check every product."""
     from repro.core.words import OverflowError_
     from repro.matmul.dense import matmul
 
     big = np.full((16, 16), 120, dtype=np.int64)
-    tcu = TCUMachine(m=4, kappa=8, check_overflow=True)
-    with pytest.raises(OverflowError_):
-        matmul(tcu, big, big, plan=True)
-    eager = TCUMachine(m=4, kappa=8, check_overflow=True)
-    with pytest.raises(OverflowError_):
-        matmul(eager, big, big, plan=False)
+    for tcu in (
+        TCUMachine(m=4, kappa=8, check_overflow=True),
+        ParallelTCUMachine(m=4, kappa=8, check_overflow=True, units=2),
+    ):
+        with pytest.raises(OverflowError_):
+            matmul(tcu, big, big)
 
 
 def test_dft_cost_only_keeps_placeholders_lazy():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import TCUMachine, TensorShapeError, WeakTCUMachine
+from repro import ParallelTCUMachine, TCUMachine, TensorShapeError, WeakTCUMachine
+from repro.core.presets import PRESETS
+from repro.core.quantize import QuantizedTCUMachine
 from repro.core.words import OverflowError_
 
 
@@ -35,6 +37,41 @@ class TestConstruction:
         child = machine.fork()
         assert (child.m, child.ell, child.kappa, child.max_rows) == (16, 7.0, 32, 64)
         assert child.time == 0
+
+
+FORK_CASES = {
+    "tcu": lambda trace: TCUMachine(
+        m=16, ell=7.0, kappa=32, max_rows=64, complex_cost_factor=4, trace_calls=trace
+    ),
+    "weak": lambda trace: WeakTCUMachine(m=16, ell=3.0, trace_calls=trace),
+    "parallel": lambda trace: ParallelTCUMachine(
+        m=16, ell=5.0, units=3, scheduler="greedy", max_rows=32, trace_calls=trace
+    ),
+    **{
+        f"quantized-{fmt}": (
+            lambda trace, fmt=fmt: QuantizedTCUMachine(
+                m=16, ell=2.0, precision=fmt, execute="cost-only", trace_calls=trace
+            )
+        )
+        for fmt in ("fp16", "bf16", "int8")
+    },
+    **{
+        f"preset-{name}": (lambda trace, spec=spec: spec.create(trace_calls=trace))
+        for name, spec in PRESETS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("trace", [True, False, "aggregate"])
+@pytest.mark.parametrize("case", sorted(FORK_CASES))
+def test_fork_keeps_config_key_and_trace_mode(case, trace):
+    machine = FORK_CASES[case](trace)
+    machine.charge_cpu(5)
+    child = machine.fork()
+    assert type(child) is type(machine)
+    assert child.config_key() == machine.config_key()
+    assert child.ledger.trace_calls == machine.ledger.trace_calls
+    assert child.ledger is not machine.ledger and child.time == 0
 
 
 class TestMMInterface:

@@ -11,6 +11,7 @@ not route through it unconditionally.
 import numpy as np
 import pytest
 
+from machine_configs import machine_configs
 from repro import (
     CompiledCursor,
     ParallelTCUMachine,
@@ -24,15 +25,7 @@ from repro.serve import get_request_type
 
 ELL = 512.0
 
-MACHINE_CONFIGS = {
-    "serial-numeric": lambda: TCUMachine(m=16, ell=ELL),
-    "serial-cost-only": lambda: TCUMachine(m=16, ell=ELL, execute="cost-only"),
-    "serial-max-rows": lambda: TCUMachine(m=16, ell=ELL, max_rows=16),
-    "parallel-3": lambda: ParallelTCUMachine(m=16, ell=ELL, units=3),
-    "parallel-cost-only": lambda: ParallelTCUMachine(
-        m=16, ell=ELL, units=2, execute="cost-only"
-    ),
-}
+MACHINE_CONFIGS = machine_configs(ELL)
 
 KINDS = [
     ("matmul", [8, 16]),

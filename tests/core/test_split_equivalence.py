@@ -18,6 +18,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
+from machine_configs import machine_configs
 from repro import ParallelTCUMachine, TCUMachine, TensorProgram, matmul_lazy
 from repro.core import program
 from repro.core.program import (
@@ -39,15 +40,10 @@ ELL = 32.0
 # the five standard machine configs plus complex-cost; the serial ones
 # pin the single-unit early exit, the parallel ones take a scheduler
 CONFIGS = {
-    "serial-numeric": lambda sched: TCUMachine(m=16, ell=ELL),
-    "serial-cost-only": lambda sched: TCUMachine(m=16, ell=ELL, execute="cost-only"),
-    "serial-max-rows": lambda sched: TCUMachine(m=16, ell=ELL, max_rows=16),
-    "parallel-3": lambda sched: ParallelTCUMachine(
-        m=16, ell=ELL, units=3, scheduler=sched
-    ),
-    "parallel-cost-only": lambda sched: ParallelTCUMachine(
-        m=16, ell=ELL, units=2, execute="cost-only", scheduler=sched
-    ),
+    **{
+        name: (lambda sched, name=name: machine_configs(ELL, scheduler=sched)[name]())
+        for name in machine_configs(ELL)
+    },
     "complex-cost": lambda sched: ParallelTCUMachine(
         m=16, ell=16.0, units=4, complex_cost_factor=4, max_rows=40, scheduler=sched
     ),

@@ -15,8 +15,8 @@ counter updates and a flush on unbind).
 import numpy as np
 import pytest
 
+from machine_configs import machine_configs
 from repro.core.ledger import CostLedger
-from repro.core.machine import TCUMachine
 from repro.core.parallel import ParallelTCUMachine
 from repro.obs import Tracer
 from repro.serve import PoissonWorkload, ServingEngine
@@ -25,17 +25,7 @@ ELL = 512.0
 
 # name -> (machine factory, request kind served on it)
 CONFIGS = {
-    "serial-numeric": (lambda: TCUMachine(m=16, ell=ELL), "matmul"),
-    "serial-cost-only": (
-        lambda: TCUMachine(m=16, ell=ELL, execute="cost-only"),
-        "matmul",
-    ),
-    "serial-max-rows": (lambda: TCUMachine(m=16, ell=ELL, max_rows=16), "matmul"),
-    "parallel-3": (lambda: ParallelTCUMachine(m=16, ell=ELL, units=3), "matmul"),
-    "parallel-cost-only": (
-        lambda: ParallelTCUMachine(m=16, ell=ELL, units=2, execute="cost-only"),
-        "matmul",
-    ),
+    **{name: (factory, "matmul") for name, factory in machine_configs(ELL).items()},
     "complex-cost": (
         lambda: ParallelTCUMachine(
             m=16, ell=16.0, units=3, complex_cost_factor=4, execute="cost-only"

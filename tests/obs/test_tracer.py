@@ -11,9 +11,8 @@ byte-identical Chrome trace JSON.
 
 import pytest
 
+from machine_configs import machine_configs
 from repro.analysis.report import trace_table
-from repro.core.machine import TCUMachine
-from repro.core.parallel import ParallelTCUMachine
 from repro.core.presets import TPU_V1
 from repro.obs import ObsError, SloBurnMonitor, Tracer, chrome_trace_json
 from repro.serve import (
@@ -25,15 +24,7 @@ from repro.serve import (
 
 ELL = 512.0
 
-MACHINE_CONFIGS = {
-    "serial-numeric": lambda: TCUMachine(m=16, ell=ELL),
-    "serial-cost-only": lambda: TCUMachine(m=16, ell=ELL, execute="cost-only"),
-    "serial-max-rows": lambda: TCUMachine(m=16, ell=ELL, max_rows=16),
-    "parallel-3": lambda: ParallelTCUMachine(m=16, ell=ELL, units=3),
-    "parallel-cost-only": lambda: ParallelTCUMachine(
-        m=16, ell=ELL, units=2, execute="cost-only"
-    ),
-}
+MACHINE_CONFIGS = machine_configs(ELL)
 
 CHAOS_SEEDS = list(range(10))
 

@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from machine_configs import machine_configs
 from repro import (
     ParallelTCUMachine,
     PoissonWorkload,
@@ -36,15 +37,7 @@ def poisson(kind="matmul", total=80, rate=1e-3, seed=1, rows=8, slo=None):
     return PoissonWorkload(rate=rate, total=total, kind=kind, rows=rows, seed=seed, slo=slo)
 
 
-MACHINE_CONFIGS = {
-    "serial-numeric": lambda: TCUMachine(m=16, ell=ELL),
-    "serial-cost-only": lambda: TCUMachine(m=16, ell=ELL, execute="cost-only"),
-    "serial-max-rows": lambda: TCUMachine(m=16, ell=ELL, max_rows=16),
-    "parallel-3": lambda: ParallelTCUMachine(m=16, ell=ELL, units=3),
-    "parallel-cost-only": lambda: ParallelTCUMachine(
-        m=16, ell=ELL, units=2, execute="cost-only"
-    ),
-}
+MACHINE_CONFIGS = machine_configs(ELL)
 
 
 class TestConservation:
@@ -294,3 +287,24 @@ class TestEngineBehaviour:
 
         with pytest.raises(ValueError, match="unknown request type"):
             ServingEngine(machine, "continuous").serve(Bad())
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_type_without_plan_is_rejected(self, cached, monkeypatch):
+        """Every batch runs on a cursor: a request type with no plan()
+        fails at its first launch with a clear error, on the live and
+        the plan-cached path alike."""
+        from repro.core.plan_cache import PlanCache
+        from repro.serve import workload
+        from repro.serve.workload import RequestType
+
+        class Unplanned(RequestType):
+            name = "unplanned"
+
+        # registered for this test only (the registry is process-wide)
+        monkeypatch.setitem(workload._REQUEST_TYPES, "unplanned", Unplanned())
+        machine = TCUMachine(m=16, ell=ELL, execute="cost-only")
+        engine = ServingEngine(
+            machine, "continuous", plan_cache=PlanCache() if cached else False
+        )
+        with pytest.raises(NotImplementedError, match="does not implement plan"):
+            engine.serve(poisson(kind="unplanned", total=3))

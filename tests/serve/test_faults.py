@@ -21,7 +21,8 @@ import math
 
 import pytest
 
-from repro import ParallelTCUMachine, PoissonWorkload, TCUMachine, replay_batches
+from machine_configs import machine_configs
+from repro import PoissonWorkload, TCUMachine, replay_batches
 from repro.core.ledger import CostLedger, LedgerError
 from repro.core.program import ProgramError
 from repro.serve import (
@@ -43,15 +44,7 @@ from repro.serve.admission import DeadlineAdmission, QueueCapAdmission
 
 ELL = 512.0
 
-MACHINE_CONFIGS = {
-    "serial-numeric": lambda: TCUMachine(m=16, ell=ELL),
-    "serial-cost-only": lambda: TCUMachine(m=16, ell=ELL, execute="cost-only"),
-    "serial-max-rows": lambda: TCUMachine(m=16, ell=ELL, max_rows=16),
-    "parallel-3": lambda: ParallelTCUMachine(m=16, ell=ELL, units=3),
-    "parallel-cost-only": lambda: ParallelTCUMachine(
-        m=16, ell=ELL, units=2, execute="cost-only"
-    ),
-}
+MACHINE_CONFIGS = machine_configs(ELL)
 
 
 def hot_workload(seed: int = 1, total: int = 40) -> PoissonWorkload:

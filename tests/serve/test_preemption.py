@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import pytest
 
-from repro import ParallelTCUMachine, PoissonWorkload, TCUMachine, replay_batches
+from machine_configs import machine_configs
+from repro import PoissonWorkload, TCUMachine, replay_batches
 from repro.serve import (
     MixedWorkload,
     ServingEngine,
@@ -29,15 +30,7 @@ from repro.serve import (
 
 ELL = 512.0
 
-MACHINE_CONFIGS = {
-    "serial-numeric": lambda: TCUMachine(m=16, ell=ELL),
-    "serial-cost-only": lambda: TCUMachine(m=16, ell=ELL, execute="cost-only"),
-    "serial-max-rows": lambda: TCUMachine(m=16, ell=ELL, max_rows=16),
-    "parallel-3": lambda: ParallelTCUMachine(m=16, ell=ELL, units=3),
-    "parallel-cost-only": lambda: ParallelTCUMachine(
-        m=16, ell=ELL, units=2, execute="cost-only"
-    ),
-}
+MACHINE_CONFIGS = machine_configs(ELL)
 
 
 @lru_cache(maxsize=None)
@@ -188,30 +181,7 @@ class TestPreemptResumeChargeParity:
         assert by_index  # sanity
 
 
-class TestAtomicKindsNeverPreempt:
-    def test_legacy_atomic_stencil_batches_run_to_completion(self):
-        """A legacy_atomic stencil type has no planned lowering (plan()
-        is None): its batches execute atomically even under a
-        preemptive engine."""
-        from repro.serve.workload import StencilRequestType, register_request_type
-
-        register_request_type(
-            StencilRequestType(name="stencil-atomic", legacy_atomic=True)
-        )
-        bulk = PoissonWorkload(
-            rate=2e-5, total=6, kind="stencil-atomic", rows=16, seed=1, priority=0
-        )
-        hot = PoissonWorkload(
-            rate=4e-4, total=40, kind="matmul", rows=8, seed=2, priority=2
-        )
-        machine = TCUMachine(m=16, ell=ELL)
-        result = preempting_engine(machine).serve(MixedWorkload(bulk, hot))
-        result.check_conservation()
-        for batch in result.batches:
-            if batch.kind == "stencil-atomic":
-                assert batch.preemptions == 0
-                assert batch.completion == batch.launch + batch.service
-
+class TestStencilPreemption:
     def test_default_stencil_is_now_preemptible(self):
         """The default stencil kind lowers through the IR: under a
         preemptive engine a hot stream can checkpoint its batches."""

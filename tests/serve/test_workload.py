@@ -331,33 +331,36 @@ class TestPlanLowering:
             plan = get_request_type(kind).plan(machine, rows)
             assert len(plan.levels) >= floor, kind
 
-    def test_stencil_plans_and_matches_legacy_atomic_charges(self):
-        # the default stencil kind now lowers through the program IR;
-        # the legacy_atomic escape hatch keeps the old opaque serve()
-        # and is the charge-parity oracle for the lowering
+    def test_stencil_plan_matches_direct_stencil_tcu(self):
+        # the stencil kind lowers through the program IR and charges
+        # exactly what one direct stencil_tcu call per request does
+        from repro.core.program import ExecutionCursor
         from repro.serve.workload import StencilRequestType
+        from repro.transform.stencil import heat_equation_weights, stencil_tcu
 
-        legacy = StencilRequestType(name="stencil-atomic-test", legacy_atomic=True)
-        assert legacy.plan(TCUMachine(m=16, ell=8.0), [8]) is None
+        steps = StencilRequestType().steps
         for rows in ([8], [8, 12, 8]):
             planned_m = TCUMachine(m=16, ell=8.0)
-            legacy_m = TCUMachine(m=16, ell=8.0)
+            direct_m = TCUMachine(m=16, ell=8.0)
             plan = get_request_type("stencil").plan(planned_m, rows)
-            assert plan is not None and len(plan.levels) >= 4
-            from repro.core.program import ExecutionCursor
-
+            assert len(plan.levels) >= 4
             ExecutionCursor(plan, planned_m).run()
-            legacy.serve(legacy_m, rows)
-            assert planned_m.ledger.snapshot() == legacy_m.ledger.snapshot(), rows
+            for side in rows:
+                stencil_tcu(
+                    direct_m, np.zeros((side, side)), heat_equation_weights(), steps
+                )
+            assert planned_m.ledger.snapshot() == direct_m.ledger.snapshot(), rows
             assert (
                 planned_m.ledger.call_shape_totals()
-                == legacy_m.ledger.call_shape_totals()
+                == direct_m.ledger.call_shape_totals()
             ), rows
 
-    def test_legacy_type_without_serve_or_plan_fails_loudly(self):
+    def test_type_without_plan_fails_loudly(self):
         class Hollow(RequestType):
             name = "hollow"
 
         machine = TCUMachine(m=16, ell=8.0)
-        with pytest.raises(NotImplementedError, match="neither plan"):
+        with pytest.raises(NotImplementedError, match="does not implement plan"):
+            Hollow().plan(machine, [4])
+        with pytest.raises(NotImplementedError, match="does not implement plan"):
             Hollow().serve(machine, [4])

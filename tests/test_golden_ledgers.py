@@ -24,6 +24,7 @@ from collections.abc import Callable
 import numpy as np
 import pytest
 
+from machine_configs import machine_configs
 from repro import ParallelTCUMachine, TCUMachine
 from repro.graph.apsd import seidel
 from repro.graph.closure import transitive_closure
@@ -36,13 +37,7 @@ from repro.transform.stencil import heat_equation_weights, stencil_tcu
 ELL = 32.0
 
 CONFIGS: dict[str, Callable[[], TCUMachine]] = {
-    "serial-numeric": lambda: TCUMachine(m=16, ell=ELL),
-    "serial-cost-only": lambda: TCUMachine(m=16, ell=ELL, execute="cost-only"),
-    "serial-max-rows": lambda: TCUMachine(m=16, ell=ELL, max_rows=16),
-    "parallel-3": lambda: ParallelTCUMachine(m=16, ell=ELL, units=3),
-    "parallel-cost-only": lambda: ParallelTCUMachine(
-        m=16, ell=ELL, units=2, execute="cost-only"
-    ),
+    **machine_configs(ELL),
     "complex-cost": lambda: ParallelTCUMachine(
         m=16, ell=16.0, units=3, complex_cost_factor=4
     ),

@@ -1,20 +1,20 @@
-"""Execution-path equivalence: eager, planned-unfused, planned-fused and
-cost-only runs of every algorithm must charge bit-identical ledger
-totals, call counts, per-shape traces and section times.
+"""Execution-route equivalence: every route a kernel can take to the
+ledger must charge bit-identical totals, call counts, per-shape traces
+and section times.
 
-Two invariants are pinned down, matching the planner's documented
-semantics:
+Each kernel has one schedule, and the machine alone picks how it runs:
+:func:`matmul` charges a plain serial machine's whole grid directly and
+plans a program everywhere else, and ``execute="cost-only"`` charges
+the same schedule from shapes alone.  Pinned here:
 
-* within one planning mode, the executor variant never changes a
-  charge: ``fused=True`` == ``fused=False`` == ``execute="cost-only"``;
-* the eager (``plan=False``) path equals the planned path whenever the
-  planner has nothing to merge (a lone Theorem 2 product, Strassen,
-  DFT); the closure's planned path intentionally merges two segment
-  calls per pivot column (fewer latencies), and there cost-only must
-  track whichever mode it runs in.
+* the direct grid path and the planned program agree on a lone product
+  (``matmul`` vs ``matmul_lazy`` + ``run_program``);
+* numeric and cost-only runs agree for every kernel;
+* the planned executor's trace replays through Theorem 12 identically.
 
 All machine parameters that alter the charge structure are swept:
-latency, complex-cost factors, hardware row bounds and sections.
+latency, complex-cost factors, hardware row bounds and sections.  The
+exact ledgers themselves are pinned in ``tests/test_golden_ledgers.py``.
 """
 
 import numpy as np
@@ -61,37 +61,22 @@ def test_dense_paths_agree(kind, shape):
     B = rng.random((q, r))
     if kind == "complex-cost":
         A = A + 1j * rng.random((p, q))
-    eager = make(kind)
-    with eager.section("mm"):
-        C_eager = matmul(eager, A, B, plan=False)
-    fused = make(kind)
-    with fused.section("mm"):
-        C_fused = matmul(fused, A, B, plan=True)
+    direct = make(kind)
+    with direct.section("mm"):
+        C_direct = matmul(direct, A, B)
+    planned = make(kind)
+    with planned.section("mm"):
+        program = TensorProgram()
+        lazy = matmul_lazy(planned, program, A, B)
+        run_program(program, planned)
     cost = make(kind, execute="cost-only")
     with cost.section("mm"):
-        C_cost = matmul(cost, A, B, plan=True)
-    assert np.allclose(C_eager, A @ B) and np.allclose(C_fused, A @ B)
+        C_cost = matmul(cost, A, B)
+    assert np.allclose(C_direct, A @ B) and np.allclose(lazy.result(), A @ B)
     assert C_cost.shape == (p, r)
-    fp = ledger_fingerprint(eager, ["mm"])
-    assert ledger_fingerprint(fused, ["mm"]) == fp
+    fp = ledger_fingerprint(direct, ["mm"])
+    assert ledger_fingerprint(planned, ["mm"]) == fp
     assert ledger_fingerprint(cost, ["mm"]) == fp
-
-
-@pytest.mark.parametrize("kind", ["base", "split-stream"])
-def test_dense_unfused_program_agrees(kind):
-    rng = np.random.default_rng(11)
-    A = rng.random((48, 32))
-    B = rng.random((32, 48))
-    reference = make(kind)
-    matmul(reference, A, B, plan=False)
-
-    for fused in (True, False):
-        tcu = make(kind)
-        program = TensorProgram()
-        lazy = matmul_lazy(tcu, program, A, B)
-        run_program(program, tcu, fused=fused)
-        assert np.allclose(lazy.result(), A @ B)
-        assert ledger_fingerprint(tcu) == ledger_fingerprint(reference)
 
 
 @pytest.mark.parametrize("kind", ["base", "zero-latency"])
@@ -99,72 +84,40 @@ def test_strassen_paths_agree(kind):
     rng = np.random.default_rng(5)
     A = rng.random((40, 40))
     B = rng.random((40, 40))
-    eager = make(kind)
-    C_eager = strassen_like_mm(eager, A, B, plan=False)
-    fused = make(kind)
-    C_fused = strassen_like_mm(fused, A, B, plan=True)
+    numeric = make(kind)
+    C = strassen_like_mm(numeric, A, B)
     cost = make(kind, execute="cost-only")
-    C_cost = strassen_like_mm(cost, A, B, plan=True)
-    assert np.allclose(C_eager, A @ B) and np.allclose(C_fused, A @ B)
+    C_cost = strassen_like_mm(cost, A, B)
+    assert np.allclose(C, A @ B)
     assert C_cost.shape == (40, 40)
-    fp = ledger_fingerprint(eager)
-    assert ledger_fingerprint(fused) == fp
-    assert ledger_fingerprint(cost) == fp
+    assert ledger_fingerprint(cost) == ledger_fingerprint(numeric)
 
 
 @pytest.mark.parametrize("kind", ["base", "complex-cost", "split-stream"])
 def test_dft_paths_agree(kind):
     rng = np.random.default_rng(9)
     X = rng.random((4, 64)) + 1j * rng.random((4, 64))
-    eager = make(kind)
-    F_eager = batched_dft(eager, X, plan=False)
-    fused = make(kind)
-    F_fused = batched_dft(fused, X, plan=True)
+    numeric = make(kind)
+    F = batched_dft(numeric, X)
     cost = make(kind, execute="cost-only")
-    F_cost = batched_dft(cost, X, plan=True)
-    assert np.allclose(F_eager, np.fft.fft(X))
-    assert np.allclose(F_fused, np.fft.fft(X))
+    F_cost = batched_dft(cost, X)
+    assert np.allclose(F, np.fft.fft(X))
     assert F_cost.shape == X.shape
-    fp = ledger_fingerprint(eager)
-    assert ledger_fingerprint(fused) == fp
-    assert ledger_fingerprint(cost) == fp
+    assert ledger_fingerprint(cost) == ledger_fingerprint(numeric)
 
 
-@pytest.mark.parametrize("plan", [True, False])
-def test_closure_cost_only_tracks_its_mode(plan):
+def test_closure_cost_only_matches_numeric():
     rng = np.random.default_rng(3)
     n = 37
     adj = (rng.random((n, n)) < 0.1).astype(np.int64)
     np.fill_diagonal(adj, 0)
     numeric = TCUMachine(m=16, ell=50.0)
-    closure = transitive_closure(numeric, adj, plan=plan)
+    closure = transitive_closure(numeric, adj)
     cost = TCUMachine(m=16, ell=50.0, execute="cost-only")
-    transitive_closure(cost, adj, plan=plan)
+    transitive_closure(cost, adj)
     assert ledger_fingerprint(cost) == ledger_fingerprint(numeric)
     # reachability sanity on the numeric result
     assert np.array_equal(closure, closure | (closure @ closure > 0))
-
-
-def test_closure_fused_matches_unfused_executor(monkeypatch):
-    import repro.graph.closure as closure_mod
-
-    rng = np.random.default_rng(4)
-    n = 29
-    adj = (rng.random((n, n)) < 0.15).astype(np.int64)
-    np.fill_diagonal(adj, 0)
-    fused = TCUMachine(m=16, ell=25.0)
-    R_fused = transitive_closure(fused, adj, plan=True)
-
-    orig = run_program
-    monkeypatch.setattr(
-        closure_mod,
-        "run_program",
-        lambda program, machine, **kw: orig(program, machine, fused=False, **kw),
-    )
-    unfused = TCUMachine(m=16, ell=25.0)
-    R_unfused = transitive_closure(unfused, adj, plan=True)
-    assert np.array_equal(R_fused, R_unfused)
-    assert ledger_fingerprint(fused) == ledger_fingerprint(unfused)
 
 
 def test_parallel_fused_and_cost_only_agree():
