@@ -69,9 +69,9 @@ class FaultEvent:
     """One injected fault, as the engine recorded it.
 
     ``kind`` is ``"transient"`` or ``"crash"``; ``level`` is the plan
-    level that was lost; ``attempt`` is the
-    1-based attempt number that failed; ``clock`` is the engine time the
-    failure surfaced (the failed level's boundary).
+    level that was lost; ``attempt`` is the 1-based attempt number that
+    failed; ``clock`` is the engine time the failure surfaced (the
+    failed level's boundary).
     """
 
     kind: str

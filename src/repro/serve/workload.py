@@ -280,9 +280,10 @@ def _emit_dft(
     lru-cached, so *independent* transforms emitted side by side into
     one program (the stencil lowering's per-request pipelines) would
     otherwise fuse across requests and charge fewer latencies than
-    transforming each request on its own.  The copy itself is uncharged — the
-    per-call ``size^2`` matrix load is already charged here, exactly as
-    ``batched_dft`` charges it on every call despite its cache.
+    transforming each request on its own.  The copy itself is
+    uncharged — the per-call ``size^2`` matrix load is already charged
+    here, exactly as ``batched_dft`` charges it on every call despite
+    its cache.
     """
     s = machine.sqrt_m
     cdtype = np.complex128
