@@ -180,63 +180,96 @@ class ParallelTCUMachine(TCUMachine):
                 )
             ns[i] = A.shape[0]
 
-        # Fast path: machines whose calls are plain n*sqrt(m) + l numpy
-        # products.  Anything that changes per-call cost or numerics —
-        # hardware row bounds, complex cost factors, overflow checks,
-        # the systolic backend, subclass overrides — is measured and
-        # executed through the machine's own scalar primitive below.
-        plain = (
+        if self.plain_calls(
+            any(np.iscomplexobj(A) or np.iscomplexobj(B) for A, B in pairs)
+        ):
+            self.charge_batch(ns, policy=sched_policy)
+            if self.execute == "cost-only":
+                return [
+                    placeholder((A.shape[0], s), np.result_type(A.dtype, B.dtype))
+                    for A, B in pairs
+                ]
+            return [A @ B for A, B in pairs]
+
+        # Route every call through the machine's own primitive with
+        # charges captured on a scratch ledger: the per-call deltas are
+        # the true serial costs (chunk latencies, complex factors,
+        # subclass semantics included) and the results are bit-identical
+        # to a serial run.
+        scratch = CostLedger(trace_calls=True)
+        saved = self.ledger
+        self.ledger = scratch
+        results = []
+        costs = np.empty(k)
+        call_rows = np.empty(k + 1, dtype=np.int64)
+        call_rows[0] = 0
+        prev = 0.0
+        try:
+            for i, (A, B) in enumerate(pairs):
+                results.append(self.mm(A, B))
+                cum = scratch.tensor_time + scratch.latency_time
+                costs[i] = cum - prev
+                prev = cum
+                call_rows[i + 1] = len(scratch.calls)
+        finally:
+            self.ledger = saved
+        self.charge_batch(
+            ns, policy=sched_policy, measured=(scratch, costs, np.diff(call_rows))
+        )
+        return results
+
+    def plain_calls(self, complex_data: bool) -> bool:
+        """Do batched calls price and execute as plain ``n*sqrt(m) + l``
+        numpy products?
+
+        Anything that changes per-call cost or numerics — hardware row
+        bounds, complex cost factors on complex data, overflow checks,
+        the systolic backend, subclass overrides — rules it out; at
+        factor 1 complex calls price and execute exactly like real ones.
+        """
+        return (
             self.fusable
             and self.max_rows is None
             and not self.check_overflow
-            and (
-                # at factor 1 complex calls price and execute exactly
-                # like real ones, so the fast path stays valid
-                self.complex_cost_factor == 1
-                or not any(np.iscomplexobj(A) or np.iscomplexobj(B) for A, B in pairs)
-            )
+            and (self.complex_cost_factor == 1 or not complex_data)
         )
-        results: list[np.ndarray] | None = None
-        row_lats: float | np.ndarray
-        if plain:
-            costs = ns * float(s) + self.ell
-            serial_throughput = float(int(ns.sum()) * s)
-            serial_latency = self.ell * k
-            hardware_calls = k
-            row_ns, row_times = ns, costs
-            row_lats = self.ell
-            rows_per_call = None
+
+    def charge_batch(
+        self,
+        ns: np.ndarray,
+        *,
+        policy: str | SchedulerPolicy | None = None,
+        measured: tuple[CostLedger, np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        """Charge independent calls of ``ns`` rows as one scheduled batch,
+        computing nothing: the charging rule of :meth:`mm_batch`.
+
+        By default the calls are plain (:meth:`plain_calls`) and each
+        costs ``n*sqrt(m) + l``; fused kernels that compute a batch by
+        other numeric means (the Theorem 2 grid of
+        :func:`repro.matmul.dense.matmul`) charge through this.
+        ``measured`` is ``mm_batch``'s ``(scratch ledger, per-call
+        costs, hardware calls per call)`` for calls it ran through the
+        machine's own primitive.  The calls are scheduled in order by
+        ``policy`` (the machine's scheduler by default), and
+        :attr:`last_batch` / :attr:`last_schedule` record the batch.
+        """
+        sched_policy = self.scheduler if policy is None else get_scheduler(policy)
+        if measured is None:
+            ns = np.asarray(ns, dtype=np.int64)
+            costs = ns * float(self.sqrt_m) + self.ell
+            serial_throughput = float(int(ns.sum()) * self.sqrt_m)
+            serial_latency = self.ell * ns.size
+            hardware_calls = int(ns.size)
+            row_ns, row_times, row_lats = ns, costs, self.ell
             cpu_total = 0.0
         else:
-            # Route every call through the machine's own primitive with
-            # charges captured on a scratch ledger: the per-call deltas
-            # are the true serial costs (chunk latencies, complex
-            # factors, subclass semantics included) and the results are
-            # bit-identical to a serial run.
-            scratch = CostLedger(trace_calls=True)
-            saved = self.ledger
-            self.ledger = scratch
-            results = []
-            costs = np.empty(k)
-            call_rows = np.empty(k + 1, dtype=np.int64)
-            call_rows[0] = 0
-            prev = 0.0
-            try:
-                for i, (A, B) in enumerate(pairs):
-                    results.append(self.mm(A, B))
-                    cum = scratch.tensor_time + scratch.latency_time
-                    costs[i] = cum - prev
-                    prev = cum
-                    call_rows[i + 1] = len(scratch.calls)
-            finally:
-                self.ledger = saved
+            scratch, costs, rows_per_call = measured
             serial_throughput = scratch.tensor_time
             serial_latency = scratch.latency_time
             hardware_calls = scratch.tensor_calls
             row_ns, _, row_times, row_lats = scratch.calls.as_arrays()
-            rows_per_call = np.diff(call_rows)
             cpu_total = scratch.cpu_time
-
         schedule = schedule_batch(costs, self.units, sched_policy)
         makespan = schedule.makespan
         serial = serial_throughput + serial_latency
@@ -248,7 +281,7 @@ class ParallelTCUMachine(TCUMachine):
         # replay match a serial run exactly.  Captured CPU work stays
         # serial (one CPU).
         scale = makespan / serial if serial else 0.0
-        if rows_per_call is None:
+        if measured is None:
             row_units = schedule.assignment
         else:
             row_units = np.repeat(schedule.assignment, rows_per_call)
@@ -257,7 +290,7 @@ class ParallelTCUMachine(TCUMachine):
             serial_latency * scale,
             hardware_calls,
             row_ns,
-            s,
+            self.sqrt_m,
             row_times,
             row_lats,
             units=row_units,
@@ -268,7 +301,7 @@ class ParallelTCUMachine(TCUMachine):
 
         self.last_schedule = schedule
         self.last_batch = BatchStats(
-            calls=k,
+            calls=len(costs),
             serial_time=serial,
             makespan=makespan,
             units_used=schedule.units_used,
@@ -278,14 +311,6 @@ class ParallelTCUMachine(TCUMachine):
             utilization=schedule.utilization,
             gap_bound=schedule.gap_bound,
         )
-        if results is not None:
-            return results
-        if self.execute == "cost-only":
-            return [
-                placeholder((A.shape[0], s), np.result_type(A.dtype, B.dtype))
-                for A, B in pairs
-            ]
-        return [A @ B for A, B in pairs]
 
     def config_key(self) -> tuple:
         """Extends the base fingerprint with the unit count and the

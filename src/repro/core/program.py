@@ -85,6 +85,7 @@ __all__ = [
     "CompiledCursor",
     "modelled_call_cost",
     "plan_program",
+    "level_splits",
     "execute_plan",
     "run_program",
 ]
@@ -565,11 +566,16 @@ def _split_bounds(rows: int, pieces: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _rows_cap(rows: int, machine: TCUMachine, units: int) -> int:
+    """The largest feasible split factor for a ``rows``-row stream: no
+    more chunks than units, and every chunk at least ``sqrt(m)`` rows
+    (the single-call interface floor)."""
+    return max(1, min(units, rows // machine.sqrt_m))
+
+
 def _split_cap(group: list[TensorOp], machine: TCUMachine, units: int) -> int:
-    """The largest feasible split factor for a merge group: no more
-    chunks than units, and every chunk at least ``sqrt(m)`` rows (the
-    single-call interface floor)."""
-    return max(1, min(units, _group_rows(group) // machine.sqrt_m))
+    """:func:`_rows_cap` of a merge group's stream."""
+    return _rows_cap(_group_rows(group), machine, units)
 
 
 def _group_complex(group: list[TensorOp]) -> bool:
@@ -638,7 +644,16 @@ def _choose_level_splits(
     level — a closure pivot, a re-planned serving batch — searches once.
     Every hit returns a fresh list.
     """
-    shape = tuple((_group_rows(g), _group_complex(g)) for g in groups)
+    return _memo_level_splits(
+        tuple((_group_rows(g), _group_complex(g)) for g in groups), machine
+    )
+
+
+def _memo_level_splits(
+    shape: tuple[tuple[int, bool], ...], machine: TCUMachine
+) -> tuple[list[int], float]:
+    """:func:`_choose_level_splits` over the level's per-group
+    ``(rows, complex)`` shape, through the machine's memo."""
     key = (machine.config_key(), shape)
     memo = machine._split_memo
     hit = memo.get(key)
@@ -670,8 +685,7 @@ def _search_level_splits(
     and every tie-break — is the float :func:`_level_makespan` gives.
     """
     units = int(getattr(machine, "units", 1))
-    s = machine.sqrt_m
-    caps = [max(1, min(units, rows // s)) for rows, _ in shape]
+    caps = [_rows_cap(rows, machine, units) for rows, _ in shape]
     table = {
         (rows, is_complex, pieces): _chunk_costs(machine, rows, is_complex, pieces)
         for (rows, is_complex), cap in set(zip(shape, caps, strict=True))
@@ -730,11 +744,42 @@ def _search_level_splits(
     return tuple(best), best_span
 
 
+def _check_split(split: str | int) -> None:
+    if split != "auto" and (
+        isinstance(split, bool)
+        or not isinstance(split, (int, np.integer))
+        or split < 1
+    ):
+        raise ProgramError(
+            f"split must be 'auto' or an integer >= 1, got {split!r}"
+        )
+
+
+def level_splits(
+    machine: TCUMachine, shape: Sequence[tuple[int, bool]], split: str | int = "auto"
+) -> list[int]:
+    """The split factor :func:`plan_program` gives each call group of a
+    level whose groups have the given ``(rows, complex)`` shapes.
+
+    Kernels that charge a level without building it as a program — the
+    direct Theorem 2 grid of :func:`repro.matmul.dense.matmul` — take
+    the planner's decision here, memo included.  Outside the
+    auto-splitter that is the all-ones schedule, or an explicit factor
+    capped per group by feasibility.
+    """
+    _check_split(split)
+    units = int(getattr(machine, "units", 1))
+    if split == "auto" and units > 1 and shape:
+        return _memo_level_splits(tuple(shape), machine)[0]
+    if split == "auto" or split == 1 or units <= 1:
+        return [1] * len(shape)
+    return [min(int(split), _rows_cap(rows, machine, units)) for rows, _ in shape]
+
+
 def plan_program(
     program: TensorProgram,
     machine: TCUMachine,
     *,
-    merge: bool = True,
     split: str | int = "auto",
 ) -> Plan:
     """Level the program's DAG and merge same-resident-block calls.
@@ -747,9 +792,6 @@ def plan_program(
         The machine that will execute the plan; its ``sqrt(m)`` is used
         to validate every ``mm`` node now, so shape errors surface at
         plan time rather than mid-execution.
-    merge:
-        Disable to keep one tensor call per ``mm`` node (the planned
-        schedule then matches issuing every node as its own call).
     split:
         ``"auto"`` (default) prices, for each merged call group on a
         parallel machine, the modelled makespan of dispatching the
@@ -766,14 +808,7 @@ def plan_program(
         least ``sqrt(m)`` rows).  On single-unit machines every mode
         degenerates to the legacy schedule.
     """
-    if split != "auto" and (
-        isinstance(split, bool)
-        or not isinstance(split, (int, np.integer))
-        or split < 1
-    ):
-        raise ProgramError(
-            f"split must be 'auto' or an integer >= 1, got {split!r}"
-        )
+    _check_split(split)
     s = machine.sqrt_m
     n_levels = 0
     mm_ops = 0
@@ -801,21 +836,15 @@ def plan_program(
     calls = 0
     for level_ops in by_level:
         groups: dict[tuple, list[TensorOp]] = {}
-        singles: list[list[TensorOp]] = []
         others: list[TensorOp] = []
         for op in level_ops:
             if op.kind != "mm":
                 others.append(op)
-            elif merge:
-                groups.setdefault(_resident_key(op), []).append(op)
             else:
-                singles.append([op])
-        if not merge:
-            level_groups = singles
-        else:
-            level_groups = []
-            for group in groups.values():
-                level_groups.extend(_cap_group(group, machine.max_rows))
+                groups.setdefault(_resident_key(op), []).append(op)
+        level_groups = []
+        for group in groups.values():
+            level_groups.extend(_cap_group(group, machine.max_rows))
         calls += len(level_groups)
         levels.append((level_groups, others))
 
@@ -826,13 +855,9 @@ def plan_program(
         if split == "auto" and units > 1 and level_groups:
             chosen, span = _choose_level_splits(level_groups, machine)
         else:
-            if split == "auto" or split == 1 or units <= 1:
-                chosen = [1] * len(level_groups)
-            else:
-                chosen = [
-                    min(int(split), _split_cap(g, machine, units))
-                    for g in level_groups
-                ]
+            chosen = level_splits(
+                machine, [(_group_rows(g), _group_complex(g)) for g in level_groups], split
+            )
             span = _level_makespan(level_groups, chosen, machine)
         splits.append(chosen)
         modelled.append(span)

@@ -20,6 +20,13 @@ Total model time (Theorem 5):
 
     T(n) = Theta( n^3 / sqrt(m) + (n^2/m) l + n^2 sqrt(m) ).
 
+Kernels B and C run strip-wide: every column of the pivot row (every
+row of the pivot column) evolves independently of the others, so each
+sweeps the two strips either side of the pivot block in ``sqrt(m)``
+steps instead of ``sqrt(m)`` steps per block.  Kernels A, B and C and
+the trailing clamp each charge a pivot's RAM work in one ledger charge,
+with the same totals as Figure 7's per-block loops.
+
 Each pivot's trailing update is built as a
 :class:`~repro.core.program.TensorProgram`: the planner notices that
 the above/below segments of one ``j`` share the same resident weight
@@ -40,37 +47,20 @@ from ..matmul.schedule import ceil_to_multiple
 __all__ = ["transitive_closure"]
 
 
-def _closure_block(tcu: TCUMachine, X: np.ndarray) -> None:
-    """Kernel A: in-place closure of the diagonal block (Figure 7)."""
-    s = X.shape[0]
+def _sweep(tcu: TCUMachine, Y: np.ndarray, strips: list[np.ndarray]) -> None:
+    """``X |= Y[:, t] & X[t, :]`` for ``t < sqrt(m)``, in place on every
+    strip at once: kernel A with ``Y = X = X_kk``, kernel B on the pivot
+    row's strips with ``Y = X_kk`` and kernel C on the transposed pivot
+    column's strips with ``Y = X_kk^T``.  Each strip column evolves on
+    its own, so one sweep equals Figure 7's per-block loops; the kernel's
+    ``2 sqrt(m)^2`` word ops per block are charged at once."""
+    s = Y.shape[0]
+    tcu.charge_cpu(2 * s * s * sum(X.shape[1] for X in strips))
     if tcu.execute == "cost-only":
-        tcu.charge_cpu(2 * s * s * s)
         return
-    for k in range(s):
-        X |= np.outer(X[:, k], X[k, :])
-        tcu.charge_cpu(s * s * 2)
-
-
-def _row_block(tcu: TCUMachine, X: np.ndarray, Y: np.ndarray) -> None:
-    """Kernel B: ``X_kj |= X_kk-paths``, in place."""
-    s = X.shape[0]
-    if tcu.execute == "cost-only":
-        tcu.charge_cpu(2 * s * s * s)
-        return
-    for k in range(s):
-        X |= np.outer(Y[:, k], X[k, :])
-        tcu.charge_cpu(s * s * 2)
-
-
-def _col_block(tcu: TCUMachine, X: np.ndarray, Y: np.ndarray) -> None:
-    """Kernel C: ``X_ik |= paths-through-X_kk``, in place."""
-    s = X.shape[0]
-    if tcu.execute == "cost-only":
-        tcu.charge_cpu(2 * s * s * s)
-        return
-    for k in range(s):
-        X |= np.outer(X[:, k], Y[k, :])
-        tcu.charge_cpu(s * s * 2)
+    for t in range(s):
+        for X in strips:
+            X |= np.outer(Y[:, t], X[t, :])
 
 
 def transitive_closure(
@@ -120,23 +110,19 @@ def transitive_closure(
     for k in range(nb):
         kk = slice(k * s, (k + 1) * s)
         Xkk = work[kk, kk]
-        _closure_block(tcu, Xkk)
-        for j in range(nb):
-            if j != k:
-                jj = slice(j * s, (j + 1) * s)
-                _row_block(tcu, work[kk, jj], Xkk)
-        for i in range(nb):
-            if i != k:
-                ii = slice(i * s, (i + 1) * s)
-                _col_block(tcu, work[ii, kk], Xkk)
-        # Trailing update D on the tensor unit: for each j != k the
-        # weight block X_kj stays resident while every X_ik (i != k)
-        # streams through; the i != k rows form two contiguous runs.
+        _sweep(tcu, Xkk, [Xkk])  # kernel A
+        # the i != k (and j != k) blocks form two contiguous runs
         segments = []
         if k > 0:
             segments.append(slice(0, k * s))
         if k + 1 < nb:
             segments.append(slice((k + 1) * s, padded))
+        if segments:
+            _sweep(tcu, Xkk, [work[kk, seg] for seg in segments])  # kernel B
+            _sweep(tcu, Xkk.T, [work[seg, kk].T for seg in segments])  # kernel C
+        # Trailing update D on the tensor unit: for each j != k the
+        # weight block X_kj stays resident while every X_ik (i != k)
+        # streams through.
         # Lazy build: both segments of a given j reference the same
         # copied weight op, so the planner merges them into one tall
         # call; all (j, seg) products of this pivot are independent
@@ -144,20 +130,22 @@ def transitive_closure(
         # a single batchable level.
         program = TensorProgram()
         tasks = []
+        streams = [(seg, work[seg, kk]) for seg in segments]
         for j in range(nb):
             if j == k:
                 continue
             jj = slice(j * s, (j + 1) * s)
             # weight must not alias the updated strip
             weight = program.copy(work[kk, jj])
-            for seg in segments:
-                op = program.mm(work[seg, kk], weight)
-                tasks.append((jj, seg, op))
+            for seg, stream in streams:
+                tasks.append((jj, seg, program.mm(stream, weight)))
         run_program(program, tcu, split=split)
-        for jj, seg, op in tasks:
-            # X <- min(X + Y*Z, 1): integer product + clamp
-            if tcu.execute != "cost-only":
+        if tasks:
+            # X <- min(X + Y*Z, 1): integer product + clamp, two word
+            # ops per entry of every i != k, j != k block
+            tcu.charge_cpu(2 * (padded - s) * s * (nb - 1))
+        if tcu.execute != "cost-only":
+            for jj, seg, op in tasks:
                 strip = work[seg, jj]
                 np.minimum(strip + op.result(), 1, out=strip)
-            tcu.charge_cpu(2 * (seg.stop - seg.start) * s)
     return work[:n, :n]

@@ -17,11 +17,17 @@ model time; :func:`matmul` generalises the same schedule to arbitrary
 One execution path
 ------------------
 :func:`matmul` has one schedule and two ways to run it, chosen from the
-machine alone.  A serial machine whose ``mm`` is the plain tall call
-runs the whole strip-by-block grid directly: one vectorised ledger
-charge and, on numeric machines, one fused contraction (nothing is
-computed on ``execute="cost-only"`` machines).  Every other machine
-builds the grid as a lazy :class:`~repro.core.program.TensorProgram` —
+machine alone.  A serial machine whose ``mm`` is the plain tall call,
+and a parallel machine whose batched calls are plain products
+(:meth:`~repro.core.parallel.ParallelTCUMachine.plain_calls`), run the
+whole strip-by-block grid directly: one ledger charge and, on numeric
+machines, one fused contraction.  On a parallel machine that charge is
+the scheduled batch the planner would issue for the grid's products:
+same split decision, chunk order and unit assignment, charged by
+``mm_batch``'s own rule.  Row-bounded, overflow-checked, systolic and
+quantized machines, and complex data at a complex cost factor, keep
+the program path: they build the grid as a lazy
+:class:`~repro.core.program.TensorProgram` —
 ``mm`` nodes for the ``C_{i,j}`` products, ``add`` nodes for the strip
 reductions — and executes it through
 :func:`~repro.core.program.run_program`, which batches each DAG level
@@ -39,7 +45,7 @@ import numpy as np
 
 from ..core.machine import TCUMachine, placeholder
 from ..core.parallel import ParallelTCUMachine
-from ..core.program import Lazy, TensorProgram, run_program
+from ..core.program import Lazy, TensorProgram, level_splits, run_program
 from .schedule import ceil_to_multiple, pad_matrix, padded_copy_cost, theorem2_tasks
 
 __all__ = [
@@ -105,29 +111,52 @@ def _emit_theorem2(
     return Lazy(assemble)
 
 
-def _charge_theorem2_grid(tcu: TCUMachine, p_pad: int, kq: int, kr: int, dtype) -> None:
+def _charge_theorem2_grid(
+    tcu: TCUMachine, p_pad: int, kq: int, kr: int, dtype, split: str | int
+) -> None:
     """Charge the whole Theorem 2 grid — ``kq * kr`` tall calls of
-    ``p_pad`` rows (the machine's bulk grid rule) plus the per-partial
-    strip accumulations — exactly as the per-task loop would."""
-    tcu.charge_mm_grid(p_pad, kq * kr, dtype)
-    tcu.charge_cpu(kq * kr * p_pad * tcu.sqrt_m)  # the C_{i,j} accumulations
+    ``p_pad`` rows plus the per-partial strip accumulations — exactly as
+    the planned program would.
+
+    On a parallel machine the products are one level of ``kq * kr``
+    singleton call groups: each takes the planner's split factor and
+    the level's chunks, in program order, are charged as one scheduled
+    batch.  A lone unsplit product, like every serial grid, takes the
+    machine's bulk grid rule.
+    """
+    k = kq * kr
+    f = None
+    if isinstance(tcu, ParallelTCUMachine):
+        is_complex = bool(np.issubdtype(dtype, np.complexfloating))
+        f = np.asarray(level_splits(tcu, [(p_pad, is_complex)] * k, split))
+    if f is not None and (k > 1 or f[0] > 1):
+        # each group's row-balanced chunks: the first p_pad % f carry
+        # one extra row
+        group = np.repeat(np.arange(k), f)
+        pos = np.arange(group.size) - np.repeat(np.cumsum(f) - f, f)
+        tcu.charge_batch(p_pad // f[group] + (pos < p_pad % f[group]))
+    else:
+        tcu.charge_mm_grid(p_pad, k, dtype)
+    tcu.charge_cpu(k * p_pad * tcu.sqrt_m)  # the C_{i,j} accumulations
 
 
-def _matmul_fused(tcu: TCUMachine, Ap: np.ndarray, Bp: np.ndarray) -> np.ndarray:
+def _matmul_fused(
+    tcu: TCUMachine, Ap: np.ndarray, Bp: np.ndarray, split: str | int
+) -> np.ndarray:
     """The Theorem 2 strip-by-block grid as one fused contraction.
 
     The strips ``A_i`` and blocks ``B_{i,j}`` are strided views of the
     padded operands, so the whole grid is a single tensordot (which
     lowers to one GEMM) — the per-call products and the ``sum_i C_{i,j}``
-    strip accumulations fuse into it.  Charges are identical to issuing
-    the ``kq * kr`` calls through :meth:`TCUMachine.mm` one by one.
+    strip accumulations fuse into it.  Charges are identical to running
+    the grid's planned program.
     """
     s = tcu.sqrt_m
     p_pad, q_pad = Ap.shape
     r_pad = Bp.shape[1]
     kq, kr = q_pad // s, r_pad // s
     dtype = np.result_type(Ap.dtype, Bp.dtype)
-    _charge_theorem2_grid(tcu, p_pad, kq, kr, dtype)
+    _charge_theorem2_grid(tcu, p_pad, kq, kr, dtype, split)
     strips = Ap.reshape(p_pad, kq, s).transpose(1, 0, 2)  # (i, p, k) views
     blocks = Bp.reshape(kq, s, kr, s).transpose(0, 2, 1, 3)  # (i, j, k, t)
     C = np.tensordot(strips, blocks, axes=((0, 2), (0, 2)))  # (p, j, t)
@@ -154,18 +183,19 @@ def matmul(
         Charge the RAM-model cost of materialising padded copies (on by
         default; disable only inside algorithms that pre-pad).
     split:
-        Forwarded to :func:`~repro.core.program.plan_program` on the
-        planned path: ``"auto"`` (default) lets the cost model split
-        merged tall calls across parallel units, ``1`` pins the legacy
-        one-call-per-group schedule, an explicit ``s`` forces ``s``
-        chunks per group.  Serial machines and the direct path are
-        unaffected (splitting is the identity there).
+        The planner's split policy for the grid's calls on parallel
+        machines (see :func:`~repro.core.program.plan_program`):
+        ``"auto"`` (default) lets the cost model split tall calls
+        across units, ``1`` pins the one-call-per-group schedule, an
+        explicit ``s`` forces ``s`` chunks per group.  Serial machines
+        are unaffected (splitting is the identity there).
 
-    The whole grid is charged in one vectorised ledger charge and
-    computed as one stacked contraction whenever the machine allows it;
-    machines the fused kernel cannot express exactly (parallel batch
-    accounting, hardware row bounds that split the stream, the systolic
-    backend, quantised kernels, overflow checks) run the planned
+    The whole grid is charged in one ledger charge (one scheduled batch
+    on a parallel machine) and computed as one stacked contraction
+    whenever the machine allows it; machines the fused kernel cannot
+    express exactly (hardware row bounds that split the stream, the
+    systolic backend, quantised kernels, overflow checks, complex data
+    at a complex cost factor) run the planned
     :class:`~repro.core.program.TensorProgram` instead.
 
     On a machine with ``execute="cost-only"`` the product is never
@@ -190,18 +220,23 @@ def matmul(
     q_pad = ceil_to_multiple(q, s)
     r_pad = ceil_to_multiple(r, s)
     cost_only = tcu.execute == "cost-only"
-    direct = (
-        not isinstance(tcu, ParallelTCUMachine)
-        and (tcu.max_rows is None or p_pad <= tcu.max_rows)
-        # machines that restrict the call interface itself (the weak
-        # model's square-only mm) must keep validating every call
-        and type(tcu).mm is TCUMachine.mm
-        # the fused contraction sums partials before any value exists to
-        # check, so overflow-checked machines take the program path
-        # (whose grid primitive checks every stacked product)
-        and not tcu.check_overflow
-        and (cost_only or tcu.fusable)
-    )
+    dtype = np.result_type(A.dtype, B.dtype)
+    if isinstance(tcu, ParallelTCUMachine):
+        # the grid is one batch of independent calls: direct whenever
+        # mm_batch would price and run them as plain products
+        direct = tcu.plain_calls(bool(np.issubdtype(dtype, np.complexfloating)))
+    else:
+        direct = (
+            (tcu.max_rows is None or p_pad <= tcu.max_rows)
+            # machines that restrict the call interface itself (the weak
+            # model's square-only mm) must keep validating every call
+            and type(tcu).mm is TCUMachine.mm
+            # the fused contraction sums partials before any value exists
+            # to check, so overflow-checked machines take the program
+            # path (whose grid primitive checks every stacked product)
+            and not tcu.check_overflow
+            and (cost_only or tcu.fusable)
+        )
 
     if direct and cost_only:
         # never materialise the padded copies: charge the schedule from
@@ -210,14 +245,13 @@ def matmul(
             tcu.charge_cpu(
                 padded_copy_cost(A, p_pad, q_pad) + padded_copy_cost(B, q_pad, r_pad)
             )
-        dtype = np.result_type(A.dtype, B.dtype)
-        _charge_theorem2_grid(tcu, p_pad, q_pad // s, r_pad // s, dtype)
+        _charge_theorem2_grid(tcu, p_pad, q_pad // s, r_pad // s, dtype, split)
         return placeholder((p, r), dtype)
 
     Ap, Bp = _pad_operands(tcu, A, B, charge_padding)
 
     if direct:
-        return _matmul_fused(tcu, Ap, Bp)[:p, :r]
+        return _matmul_fused(tcu, Ap, Bp, split)[:p, :r]
 
     program = TensorProgram()
     lazy = _emit_theorem2(tcu, program, Ap, Bp)

@@ -10,11 +10,11 @@ until the call count ``n/m`` drops below p, after which extra units are
 idle.  The reduction ``C_j = sum_i C_{i,j}`` stays CPU work, exactly as
 in the sequential schedule.
 
-The batch is priced by :meth:`~repro.core.parallel.ParallelTCUMachine.
-mm_batch` from the machine's *own* per-call costs, so row-bounded,
-complex-cost, systolic and overflow-checked machines charge (and
-compute) exactly what a serial loop of ``mm`` calls would — only the
-clock advances by the scheduled makespan instead of the serial sum.
+The batch is priced from the machine's *own* per-call costs
+(:meth:`~repro.core.parallel.ParallelTCUMachine.mm_batch`'s rule), so
+row-bounded, complex-cost, systolic and overflow-checked machines charge
+(and compute) exactly what a serial loop of ``mm`` calls would — only
+the clock advances by the scheduled makespan instead of the serial sum.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.parallel import ParallelTCUMachine
-from .schedule import ceil_to_multiple, pad_matrix, padded_copy_cost
+from .dense import matmul
 
 __all__ = ["parallel_matmul", "predicted_parallel_time"]
 
@@ -44,39 +44,7 @@ def parallel_matmul(
     *,
     charge_padding: bool = True,
 ) -> np.ndarray:
-    """``C = A @ B`` with all Theorem 2 grid products issued as one batch."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ValueError(f"incompatible shapes {A.shape} @ {B.shape}")
-    p_rows, q = A.shape
-    _, r = B.shape
-    s = ptcu.sqrt_m
-    if p_rows == 0 or q == 0 or r == 0:
-        return np.zeros((p_rows, r), dtype=np.result_type(A.dtype, B.dtype))
-
-    p_pad = max(p_rows, s)
-    q_pad = ceil_to_multiple(q, s)
-    r_pad = ceil_to_multiple(r, s)
-    if charge_padding:
-        ptcu.charge_cpu(
-            padded_copy_cost(A, p_pad, q_pad) + padded_copy_cost(B, q_pad, r_pad)
-        )
-    Ap = pad_matrix(A, p_pad, q_pad)
-    Bp = pad_matrix(B, q_pad, r_pad)
-
-    jobs = []
-    coords = []
-    for j in range(r_pad // s):
-        for i in range(q_pad // s):
-            jobs.append(
-                (Ap[:, i * s : (i + 1) * s], Bp[i * s : (i + 1) * s, j * s : (j + 1) * s])
-            )
-            coords.append(j)
-    results = ptcu.mm_batch(jobs)
-
-    C = np.zeros((p_pad, r_pad), dtype=np.result_type(Ap.dtype, Bp.dtype))
-    for j, partial in zip(coords, results, strict=True):
-        C[:, j * s : (j + 1) * s] += partial
-        ptcu.charge_cpu(p_pad * s)
-    return C[:p_rows, :r]
+    """``C = A @ B`` with all Theorem 2 grid products issued as one batch:
+    :func:`~repro.matmul.dense.matmul` with the planner's splitting off
+    (``split=1``), so each product stays one call."""
+    return matmul(ptcu, A, B, charge_padding=charge_padding, split=1)

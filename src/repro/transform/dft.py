@@ -20,8 +20,8 @@ machine to charge the 4-real-product emulation instead.
 
 Every recursion level's product is one :func:`~repro.matmul.dense.matmul`
 call, so the transforms share its single execution path: the direct
-grid charge on plain serial machines, the planned program (batched
-across units) everywhere else.
+grid charge on plain serial and parallel machines, the planned program
+everywhere else.
 
 Sizes must factor into ``sqrt(m)``-smooth products: every recursion
 level needs ``sqrt(m) | size`` until ``size <= sqrt(m)``.  Powers of two

@@ -93,13 +93,16 @@ class TestPlanning:
         assert plan.stats.tensor_calls_planned == 3
         assert plan.stats.merged_away == 0
 
-    def test_merge_disabled(self, tcu, rng):
+    def test_equal_content_blocks_stay_separate_calls(self, tcu, rng):
+        """Merging keys on buffer identity, not content: products against
+        distinct copies of one block stay one call each."""
         B = rng.random((4, 4))
         prog = TensorProgram()
         for _ in range(4):
-            prog.mm(rng.random((8, 4)), B)
-        plan = plan_program(prog, tcu, merge=False)
+            prog.mm(rng.random((8, 4)), B.copy())
+        plan = plan_program(prog, tcu)
         assert plan.stats.tensor_calls_planned == 4
+        assert plan.stats.merged_away == 0
 
     def test_mixed_dtype_streams_do_not_merge(self, tcu, rng):
         """int and float products against one block stay separate calls

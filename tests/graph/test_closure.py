@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro import TCUMachine
+from repro import ParallelTCUMachine, TCUMachine
 from repro.analysis.fitting import loglog_slope
 from repro.baselines.ram import RAMMachine, ram_transitive_closure
 from repro.graph.closure import transitive_closure
@@ -90,6 +90,44 @@ class TestCorrectness:
         C1 = transitive_closure(tcu, A)
         C2 = transitive_closure(tcu, C1)
         assert np.array_equal(C1, C2)
+
+
+def boolean_reachability(adjacency):
+    """0/1 matrix of non-empty directed paths, by boolean squaring."""
+    reach = adjacency.astype(bool)
+    while True:
+        step = reach.astype(np.int64)
+        nxt = reach | ((step @ step) > 0)
+        if np.array_equal(nxt, reach):
+            return reach.astype(np.int64)
+        reach = nxt
+
+
+STRIP_MACHINES = {
+    "serial": lambda **kw: TCUMachine(m=16, ell=8.0, **kw),
+    "parallel": lambda **kw: ParallelTCUMachine(m=16, ell=8.0, units=3, **kw),
+    "row-bounded": lambda **kw: TCUMachine(m=16, ell=8.0, max_rows=8, **kw),
+}
+
+
+class TestStripKernels:
+    """Kernels B and C update whole pivot strips at once; the closure must
+    still be exact for any block count, with self-loops and cycles."""
+
+    @pytest.mark.parametrize("machine", STRIP_MACHINES)
+    @pytest.mark.parametrize("n", [3, 7, 29])  # nb = 1, 2, 8 at sqrt(m) = 4
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_boolean_squaring(self, machine, n, seed):
+        rng = np.random.default_rng(seed)
+        A = (rng.random((n, n)) < 2.0 / n).astype(np.int64)  # self-loops allowed
+        cycle = rng.permutation(n)[: max(2, n // 3)]
+        A[cycle, np.roll(cycle, 1)] = 1  # plus one directed cycle
+        tcu = STRIP_MACHINES[machine]()
+        assert np.array_equal(transitive_closure(tcu, A), boolean_reachability(A))
+        # the strip-wide charges stay value-independent
+        ghost = STRIP_MACHINES[machine](execute="cost-only")
+        transitive_closure(ghost, A)
+        assert ghost.ledger.snapshot() == tcu.ledger.snapshot()
 
 
 class TestCostShape:
