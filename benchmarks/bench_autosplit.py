@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ import pytest
 
 from repro import (
     ParallelTCUMachine,
-    TCUMachine,
     TensorProgram,
     matmul_lazy,
     run_program,
@@ -49,6 +49,9 @@ from repro.serve import get_request_type
 from repro.serve.workload import MLPRequestType
 
 REPO = Path(__file__).resolve().parent.parent
+# the five standard machine configs are shared with the test suite
+sys.path.insert(0, str(REPO / "tests"))
+from machine_configs import machine_configs  # noqa: E402
 
 UNITS = (1, 2, 4, 8)
 SPEEDUP_GATE = 2.0
@@ -171,15 +174,7 @@ PARITY_GOLDEN = {
     "parallel-cost-only": (1488.0, 6),
 }
 
-PARITY_CONFIGS = {
-    "serial-numeric": lambda: TCUMachine(m=16, ell=32.0),
-    "serial-cost-only": lambda: TCUMachine(m=16, ell=32.0, execute="cost-only"),
-    "serial-max-rows": lambda: TCUMachine(m=16, ell=32.0, max_rows=16),
-    "parallel-3": lambda: ParallelTCUMachine(m=16, ell=32.0, units=3),
-    "parallel-cost-only": lambda: ParallelTCUMachine(
-        m=16, ell=32.0, units=2, execute="cost-only"
-    ),
-}
+PARITY_CONFIGS = machine_configs(32.0)
 
 
 def _parity_run(machine, split):
@@ -220,6 +215,4 @@ def test_split1_parity_with_pr9():
 
 
 if __name__ == "__main__":
-    import sys
-
     raise SystemExit(pytest.main([__file__, "-q", "--benchmark-disable", *sys.argv[1:]]))

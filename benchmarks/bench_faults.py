@@ -32,13 +32,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.report import latency_table
 from repro.core.machine import TCUMachine
-from repro.core.parallel import ParallelTCUMachine
 from repro.core.presets import TPU_V1
 from repro.serve import (
     FixedRetry,
@@ -51,6 +51,9 @@ from repro.serve import (
 )
 
 REPO = Path(__file__).resolve().parent.parent
+# the five standard machine configs are shared with the test suite
+sys.path.insert(0, str(REPO / "tests"))
+from machine_configs import machine_configs  # noqa: E402
 FULL = bool(int(os.environ.get("BENCH_FAULTS_FULL", "0")))
 RECOVERY_REQUESTS = 300 if FULL else 80
 FAULT_RATES = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4) if FULL else (0.05, 0.15, 0.3)
@@ -67,15 +70,7 @@ REPORT: dict = {
 
 ELL = 512.0
 
-MACHINE_CONFIGS = {
-    "serial-numeric": lambda: TCUMachine(m=16, ell=ELL),
-    "serial-cost-only": lambda: TCUMachine(m=16, ell=ELL, execute="cost-only"),
-    "serial-max-rows": lambda: TCUMachine(m=16, ell=ELL, max_rows=16),
-    "parallel-3": lambda: ParallelTCUMachine(m=16, ell=ELL, units=3),
-    "parallel-cost-only": lambda: ParallelTCUMachine(
-        m=16, ell=ELL, units=2, execute="cost-only"
-    ),
-}
+MACHINE_CONFIGS = machine_configs(ELL)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -286,8 +281,6 @@ def test_faulty_replay_is_bit_identical():
 
 
 if __name__ == "__main__":
-    import sys
-
     args = [a for a in sys.argv[1:] if a not in ("--smoke", "--full")]
     if "--full" in sys.argv[1:]:
         os.environ["BENCH_FAULTS_FULL"] = "1"

@@ -273,7 +273,9 @@ class PlanCache:
 
     @staticmethod
     def key(kind: str, rows: Sequence[int], machine: TCUMachine) -> tuple:
-        return (str(kind), tuple(int(r) for r in rows), machine.config_key())
+        if type(rows) is not tuple or not all(type(r) is int for r in rows):
+            rows = tuple(int(r) for r in rows)
+        return (str(kind), rows, machine.config_key())
 
     def get(self, key: tuple) -> CompiledPlan | None:
         entry = self._entries.get(key)

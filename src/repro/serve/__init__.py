@@ -29,7 +29,9 @@ tensions, layered entirely on the existing machine stack:
   costs charged through the ledger's ``reload`` category, an exact
   batch-replay harness, and (on cost-only machines) a
   :class:`~repro.core.plan_cache.PlanCache` hot path that replays
-  frozen per-level charge columns instead of re-planning each batch;
+  frozen per-level charge columns instead of re-planning each batch.
+  A block arrival pump admits the arrivals due before a level boundary
+  as one slice, each request still offered to admission on its own;
 * :mod:`repro.serve.metrics`   -- throughput, p50/p95/p99 latency, SLO
   goodput, shed rate, preemption/reload counters, per-class
   breakdowns, engine and per-unit utilisation, availability and

@@ -33,6 +33,13 @@ equal times, matching the run-to-completion engine's tie-breaks):
   ``reload`` category (:meth:`~repro.core.program.ExecutionCursor.charge_reload`)
   — checkpoint/restore is never free.
 
+Arrivals enter through a **block arrival pump**: the open-loop stream
+is read in blocks, and every arrival due strictly before a running
+level's boundary is admitted as one time-ordered slice, each request
+still offered to admission at its own arrival time.  The tie-breaks
+are unchanged: an arrival at a boundary waits for the level, and an
+open-loop arrival beats a tied injected one.
+
 Every batch runs on a cursor: a request type that does not implement
 :meth:`plan` is rejected with :class:`NotImplementedError` when its
 first batch launches.
@@ -73,9 +80,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, islice
 
 import numpy as np
 
@@ -97,6 +106,11 @@ from .faults import (
 from .workload import Request, Workload, get_request_type
 
 __all__ = ["ServingEngine", "ServeResult", "BatchRecord", "ServeError", "replay_batches"]
+
+# open-loop requests the arrival pump reads from a workload at a time:
+# enough to amortise the per-block order check, and a lazy
+# million-request stream still never materialises
+_ARRIVAL_BLOCK = 4096
 
 
 class ServeError(RuntimeError):
@@ -593,7 +607,7 @@ class _Run:
         self.preemptions = 0
         self.resumes: list[float] = []
         # fault-tolerance bookkeeping (inert on a zero-fault run)
-        self.rows: list[int] = []
+        self.rows: Sequence[int] = ()
         self.rtype = None
         self.pending_fail: str | None = None
         self.last_span = 0.0
@@ -737,6 +751,7 @@ class ServingEngine:
         ledger = machine.ledger
         policy = self.batcher
         admission = self.admission
+        admit = admission.admit
         injector = self.faults
         retry = self.retry
         degrader = self.degrade
@@ -761,31 +776,93 @@ class ServingEngine:
         queues: dict[tuple[int, str], deque[Request]] = {}
         injected: list[tuple[float, int, Request]] = []
         seq = count()
-        base = iter(workload.requests())
-        base_head = next(base, None)
+        feedback = type(workload).on_complete is not Workload.on_complete  # injects arrivals
+        # the arrival pump: `block` holds the open-loop requests read so
+        # far, `times` its arrival column, `head` the next to admit
+        stream = iter(workload.requests())
+        block: list[Request] = []
+        times: list[float] = []
+        head = 0
         last_arrival = -math.inf
 
-        def next_arrival_time() -> float:
-            bt = base_head.arrival if base_head is not None else math.inf
-            it = injected[0][0] if injected else math.inf
-            return min(bt, it)
+        def read_block() -> None:
+            """Read the next block of the open-loop stream, checking once
+            that it continues the stream in time order."""
+            nonlocal block, times, head
+            tail = block[-1].arrival if block else -math.inf
+            block = list(islice(stream, _ARRIVAL_BLOCK))
+            head = 0
+            col = np.fromiter((r.arrival for r in block), float, len(block))
+            back = np.flatnonzero(col < np.append(tail, col[:-1]))
+            if back.size:
+                i = int(back[0])
+                raise ServeError(f"arrival stream is not time-ordered: {block[i].arrival} "
+                                 f"after {block[i - 1].arrival if i else tail}")
+            times = col.tolist()
 
-        def pop_arrival() -> Request:
-            nonlocal base_head, last_arrival
-            bt = base_head.arrival if base_head is not None else math.inf
-            it = injected[0][0] if injected else math.inf
-            if bt <= it:
-                req = base_head
-                base_head = next(base, None)
-            else:
-                req = heapq.heappop(injected)[2]
+        def admit_slice(reqs: list[Request]) -> None:
+            """Offer each request of a time-ordered slice to admission at
+            its own arrival time; refusals are shed."""
+            nonlocal queued_now
+            shed_before = len(shed)
+            for req in reqs:
+                key = (req.priority, req.kind)
+                queue = queues.get(key)
+                if queue is None:
+                    queue = queues[key] = deque()
+                if admit(req, queue, req.arrival):
+                    queue.append(req)
+                else:
+                    shed.append(req)
+                    if tracing:
+                        c_shed.inc()
+                        tr.request_shed(req.rid, req.kind, req.priority, req.arrival,
+                                        ts=req.arrival)
+            if tracing:
+                # the sampler reads the gauge only between event-loop
+                # turns, so one update per slice exports the same rows
+                queued_now += len(reqs) - (len(shed) - shed_before)
+                if sampling:
+                    g_queue.set(queued_now)
+
+        def take_base(hi: int) -> None:
+            """Admit the open-loop requests ``block[head:hi]``."""
+            nonlocal head, last_arrival
+            admit_slice(block[head:hi])
+            last_arrival = block[hi - 1].arrival
+            head = hi
+            if head == len(times):
+                read_block()
+
+        def admit_next() -> None:
+            """Admit the next arrival alone (an open-loop one on a tie)."""
+            nonlocal last_arrival
+            if head < len(times) and (not injected or times[head] <= injected[0][0]):
+                take_base(head + 1)
+                return
+            req = heapq.heappop(injected)[2]
             if req.arrival < last_arrival:
-                raise ServeError(
-                    f"arrival stream is not time-ordered: {req.arrival} after "
-                    f"{last_arrival}"
-                )
+                raise ServeError(f"arrival stream is not time-ordered: {req.arrival} "
+                                 f"after {last_arrival}")
+            admit_slice([req])
             last_arrival = req.arrival
-            return req
+
+        def pump(boundary: float) -> None:
+            """Admit every arrival due strictly before ``boundary`` in time
+            order: open-loop requests as slices of the block, an injected
+            one after the open-loop requests at or before its arrival."""
+            while True:
+                due = injected[0][0] if injected else math.inf
+                hi = (bisect_right(times, due, head) if due < boundary
+                      else bisect_left(times, boundary, head))
+                if hi > head:
+                    take_base(hi)  # may read the next block: look again
+                elif due < boundary:
+                    admit_next()  # the injected arrival
+                else:
+                    return
+
+        read_block()
 
         clock = 0.0
         completion_clock = 0.0
@@ -853,23 +930,10 @@ class ServingEngine:
             if entered:
                 g_avail.set(len(finished) / entered)
 
-        def admit(req: Request) -> None:
-            nonlocal queued_now
-            key = (req.priority, req.kind)
-            queue = queues.setdefault(key, deque())
-            if admission.admit(req, queue, clock):
-                queue.append(req)
-                if tracing:
-                    queued_now += 1
-                    if sampling:
-                        g_queue.set(queued_now)
-            else:
-                shed.append(req)
-                if tracing:
-                    c_shed.inc()
-                    tr.request_shed(
-                        req.rid, req.kind, req.priority, req.arrival, ts=clock
-                    )
+        def note_cache_hit_rate() -> None:
+            lookups = cache.hits + cache.misses - cache_hits_start - cache_misses_start
+            if lookups:
+                g_cache.set((cache.hits - cache_hits_start) / lookups)
 
         def set_boundary(run: _Run) -> None:
             run.boundary = run.seg_clock + (ledger.clock - run.seg_base)
@@ -937,7 +1001,7 @@ class ServingEngine:
                     "crash" if crashed else "transient" if corrupt else None
                 )
 
-        def build_cursor(run: _Run, exec_machine: TCUMachine, rows: list[int]) -> None:
+        def build_cursor(run: _Run, exec_machine: TCUMachine, rows: Sequence[int]) -> None:
             """(Re)plan the batch on ``exec_machine`` — at launch, or at
             a degraded retry (a re-plan can never checkpoint-resume)."""
             run.rows = rows
@@ -1026,16 +1090,11 @@ class ServingEngine:
                 req.launch = clock
                 req.batch = run.index
             run.seg_base = ledger.clock
-            build_cursor(run, machine, [r.rows for r in batch])
+            build_cursor(run, machine, tuple([r.rows for r in batch]))
             if sampling:
                 g_inflight.set(sum(run.rows))
                 if cache is not None:
-                    lookups = (
-                        cache.hits + cache.misses
-                        - cache_hits_start - cache_misses_start
-                    )
-                    if lookups:
-                        g_cache.set((cache.hits - cache_hits_start) / lookups)
+                    note_cache_hit_rate()
             if run.cursor is not None:
                 exec_unit(run)
             else:
@@ -1087,7 +1146,7 @@ class ServingEngine:
                     build_cursor(run, degraded_machine, run.rows)
                 else:
                     run.degraded = "rows"
-                    build_cursor(run, machine, degrader.degraded_rows(run.rows))
+                    build_cursor(run, machine, degrader.degraded_rows(list(run.rows)))
                 if tracing:
                     tr.instant(
                         f"degrade:{run.degraded}", ts=clock, batch=run.index
@@ -1107,9 +1166,6 @@ class ServingEngine:
             else:
                 set_boundary(run)
             running = run
-
-        def advance(run: _Run) -> None:
-            exec_unit(run)
 
         def close_segment(run: _Run) -> None:
             nonlocal busy_time
@@ -1237,7 +1293,7 @@ class ServingEngine:
             batches[run.index] = BatchRecord(
                 index=run.index,
                 kind=run.kind,
-                rids=tuple(r.rid for r in run.requests),
+                rids=tuple([r.rid for r in run.requests]),
                 rows=tuple(run.rows),
                 launch=run.launch,
                 service=run.service,
@@ -1256,9 +1312,11 @@ class ServingEngine:
             )
             for req in run.requests:
                 req.completion = finish
-                finished.append(req)
-                for new in workload.on_complete(req, finish):
-                    heapq.heappush(injected, (new.arrival, next(seq), new))
+            finished.extend(run.requests)
+            if feedback:
+                for req in run.requests:
+                    for new in workload.on_complete(req, finish):
+                        heapq.heappush(injected, (new.arrival, next(seq), new))
             running = None
             if tracing:
                 c_completed.inc(len(run.requests))
@@ -1295,19 +1353,15 @@ class ServingEngine:
             tr.bind_ledger(ledger)
         try:
             while True:
-                na = next_arrival_time()
                 if sampling and sampler.due(clock):
                     sampler.sample(reg, ts=clock)
                 if running is not None:
                     # level-complete vs arrival, boundary first at equal
-                    # times (the PR4 completion/arrival tie-break); every
-                    # arrival due strictly before the boundary is admitted
-                    # in one pump instead of a full event-loop turn each
+                    # times (the PR4 completion/arrival tie-break): every
+                    # arrival due strictly before the boundary is pumped
+                    # in as time-ordered slices, then the level completes
                     boundary = running.boundary
-                    while na < boundary:
-                        clock = na
-                        admit(pop_arrival())
-                        na = next_arrival_time()
+                    pump(boundary)
                     clock = boundary
                     run = running
                     if run.pending_fail is not None:
@@ -1327,7 +1381,7 @@ class ServingEngine:
                         if contender is not None:
                             suspend(run)
                         else:
-                            advance(run)
+                            exec_unit(run)
                     continue
 
                 # machine idle: resume / release selection.  Candidates are
@@ -1337,6 +1391,10 @@ class ServingEngine:
                 # batch is not ready before its backoff expires, and nothing
                 # starts while the unit is down — both terms are 0 on a
                 # zero-fault run, so the keys collapse to the PR5 ones.
+                na = min(
+                    block[head].arrival if head < len(times) else math.inf,
+                    injected[0][0] if injected else math.inf,
+                )
                 draining = na == math.inf
                 best: tuple | None = None
                 if suspended:
@@ -1375,7 +1433,7 @@ class ServingEngine:
                         when = up_time(when)
                         if na <= when and na < math.inf:
                             clock = na
-                            admit(pop_arrival())
+                            admit_next()
                             continue
                     action, payload = best[4]
                     if action == "resume":
@@ -1384,7 +1442,7 @@ class ServingEngine:
                         launch(payload, when)
                 elif na < math.inf:
                     clock = na
-                    admit(pop_arrival())
+                    admit_next()
                 else:
                     stranded = sum(len(q) for q in queues.values())
                     if stranded:
@@ -1413,12 +1471,7 @@ class ServingEngine:
             g_inflight.set(0)
             note_availability()
             if cache is not None:
-                lookups = (
-                    cache.hits + cache.misses
-                    - cache_hits_start - cache_misses_start
-                )
-                if lookups:
-                    g_cache.set((cache.hits - cache_hits_start) / lookups)
+                note_cache_hit_rate()
             for priority, stats in slo_stats.items():
                 reg.gauge(
                     "slo_attainment", labels={"class": str(priority)}

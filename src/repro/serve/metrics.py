@@ -329,9 +329,10 @@ def compute_metrics(result: ServeResult, *, slo: float | None = None) -> ServeMe
             recovery_time_mean=recovery_mean,
             per_class=empty_classes,
         )
-    latencies = np.array([r.latency for r in result.requests])
-    waits = np.array([r.wait for r in result.requests])
-    priorities = np.array([r.priority for r in result.requests])
+    arrivals = np.fromiter((r.arrival for r in result.requests), float, n)
+    latencies = np.fromiter((r.completion for r in result.requests), float, n) - arrivals
+    waits = np.fromiter((r.launch for r in result.requests), float, n) - arrivals
+    priorities = np.fromiter((r.priority for r in result.requests), np.int64, n)
     p50, p95, p99 = np.percentile(latencies, [50.0, 95.0, 99.0])
 
     objectives = np.array(

@@ -794,18 +794,15 @@ class PoissonWorkload(Workload):
             gaps[0] += t
             arrivals = np.cumsum(gaps).tolist()
             rows = _rows_column(rng, self.rows, self.kind, n).tolist()
-            for i in range(n):
-                t = arrivals[i]
-                yield Request(
-                    rid=rid,
-                    kind=self.kind,
-                    arrival=t,
-                    rows=rows[i],
-                    slo=self.slo,
-                    priority=self.priority,
-                    deadline=None if self.deadline is None else t + self.deadline,
-                )
-                rid += 1
+            kind, slo, priority, deadline = self.kind, self.slo, self.priority, self.deadline
+            # Request's positional fields: rid, kind, arrival, rows, slo, priority, deadline
+            chunk = [
+                Request(i, kind, at, r, slo, priority, None if deadline is None else at + deadline)
+                for i, at, r in zip(range(rid, rid + n), arrivals, rows, strict=True)
+            ]
+            yield from chunk
+            t = arrivals[-1]
+            rid += n
 
 
 class BurstyWorkload(Workload):

@@ -8,10 +8,12 @@ run are bit-identical to the same batches replayed serially — through
 path, and through a cost-only machine.
 """
 
+import json
 import math
 
 import pytest
 
+import repro.serve.engine as engine_module
 from machine_configs import machine_configs
 from repro import (
     ParallelTCUMachine,
@@ -19,9 +21,11 @@ from repro import (
     TCUMachine,
     replay_batches,
 )
+from repro.obs import Tracer
 from repro.serve import (
     BurstyWorkload,
     ClosedLoopWorkload,
+    QueueCapAdmission,
     ServeError,
     ServingEngine,
     SizeBatcher,
@@ -308,3 +312,136 @@ class TestEngineBehaviour:
         )
         with pytest.raises(NotImplementedError, match="does not implement plan"):
             engine.serve(poisson(kind="unplanned", total=3))
+
+
+class Listed(Workload):
+    """An open-loop stream of ``(kind, arrival, rows, priority)`` specs,
+    one request per ``yield``; ``inject`` maps a completed rid to the
+    ``(arrival, rows)`` of a request to inject at its completion."""
+
+    def __init__(self, specs, inject=None):
+        self.specs = list(specs)
+        self.inject = dict(inject or {})
+
+    def requests(self):
+        for rid, (kind, arrival, rows, priority) in enumerate(self.specs):
+            yield Request(rid=rid, kind=kind, arrival=arrival, rows=rows, priority=priority)
+
+    def on_complete(self, request, now):
+        if request.rid not in self.inject:
+            return []
+        arrival, rows = self.inject.pop(request.rid)
+        return [Request(rid=1000 + request.rid, kind="matmul", arrival=arrival, rows=rows)]
+
+
+class OnePerYield(Workload):
+    """Re-yield another workload's stream one request at a time."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def requests(self):
+        for req in self.inner.requests():
+            yield req
+
+
+def served_bytes(result, machine) -> str:
+    return json.dumps(
+        {"result": result.to_dict(), "ledger": machine.ledger.snapshot()}, sort_keys=True
+    )
+
+
+class TestArrivalPump:
+    """The block arrival pump keeps the per-arrival tie-breaks."""
+
+    def test_arrival_at_a_level_boundary_waits_for_the_level(self):
+        """A high-class arrival exactly at a running batch's level
+        boundary is admitted after that level completes: the batch
+        advances one more level before it is preempted.  One arriving
+        just before the boundary preempts at that boundary."""
+
+        def serve(hot_at=None):
+            specs = [("dft", 0.0, 512, 0)]
+            if hot_at is not None:
+                specs.append(("matmul", hot_at, 8, 2))
+            tracer = Tracer(detail="level")
+            machine = TCUMachine(m=16, ell=ELL, execute="cost-only")
+            engine = ServingEngine(machine, "continuous", preempt=True, tracer=tracer)
+            return engine.serve(Listed(specs)), tracer
+
+        _, solo = serve()
+        ends = [end for _, _, _, _, end in solo.levels]
+        assert len(ends) >= 3
+        for hot_at, launch in ((ends[0], ends[1]), (math.nextafter(ends[0], 0.0), ends[0])):
+            result, _ = serve(hot_at)
+            hot = next(r for r in result.requests if r.priority == 2)
+            assert hot.launch == launch
+            assert result.preemptions == 1
+
+    @pytest.mark.parametrize("busy", [False, True])
+    def test_open_loop_arrival_wins_a_tie_with_an_injected_one(self, busy):
+        """An injected (closed-loop) arrival tied with an open-loop one
+        queues behind it, whether the engine is idle at that instant or
+        pumping arrivals while a batch runs."""
+        probe = TCUMachine(m=16, ell=ELL, execute="cost-only")
+        ServingEngine(probe, "continuous").serve(Listed([("matmul", 0.0, 8, 0)]))
+        first = probe.ledger.clock  # the first batch's completion
+        tie = 3.0 * first
+        specs = [("matmul", 0.0, 8, 0)]
+        if busy:
+            # queued behind the first batch: runs across the tie instant
+            specs.append(("matmul", 1.0, 1024, 0))
+        specs.append(("matmul", tie, 8, 0))
+        machine = TCUMachine(m=16, ell=ELL, execute="cost-only")
+        result = ServingEngine(machine, "continuous").serve(
+            Listed(specs, inject={0: (tie, 8)})
+        )
+        tied = next(b for b in result.batches if 1000 in b.rids)
+        assert tied.rids == (len(specs) - 1, 1000)
+        if busy:
+            assert tied.launch > tie  # both were pumped in during a run
+        else:
+            assert tied.launch == tie
+
+    @pytest.mark.parametrize("admission", ["unbounded", QueueCapAdmission(cap=48)])
+    def test_multi_block_stream_matches_one_arrival_per_block(self, monkeypatch, admission):
+        """A stream several read blocks long serves bit-identically to
+        the same stream yielded one request at a time and read one
+        request per block."""
+        total = 3 * engine_module._ARRIVAL_BLOCK + 123
+
+        def run():
+            machine = TCUMachine(m=16, ell=ELL, execute="cost-only", trace_calls=False)
+            workload = PoissonWorkload(
+                rate=4e-3, total=total, kind="matmul", rows=8, seed=7
+            )
+            engine = ServingEngine(
+                machine, SizeBatcher(size=40), admission=admission
+            )
+            return machine, engine, workload
+
+        machine, engine, workload = run()
+        blocked = served_bytes(engine.serve(workload), machine)
+        machine, engine, workload = run()
+        monkeypatch.setattr(engine_module, "_ARRIVAL_BLOCK", 1)
+        single = served_bytes(engine.serve(OnePerYield(workload)), machine)
+        assert blocked == single
+
+    def test_out_of_order_arrival_across_a_block_boundary_rejected(self):
+        n = engine_module._ARRIVAL_BLOCK
+        specs = [("matmul", float(i), 8, 0) for i in range(n)]
+        specs.append(("matmul", n - 1.5, 8, 0))  # first of the next block
+        machine = TCUMachine(m=16, ell=ELL, execute="cost-only", trace_calls=False)
+        with pytest.raises(ServeError, match="not time-ordered"):
+            ServingEngine(machine, "continuous").serve(Listed(specs))
+
+    def test_traced_shed_rows_carry_their_arrival(self):
+        tracer = Tracer(sample_every=1e4)
+        machine = TCUMachine(m=16, ell=ELL, execute="cost-only")
+        result = ServingEngine(
+            machine, "continuous", admission=QueueCapAdmission(cap=2), tracer=tracer
+        ).serve(poisson(total=120, rate=5e-3, seed=13))
+        shed_rows = [row for row in tracer.requests if row[3] == "shed"]
+        assert len(shed_rows) == len(result.shed) > 0
+        for _, _, _, _, arrival, _, ts, _, _ in shed_rows:
+            assert ts == arrival
