@@ -1,6 +1,9 @@
 #!/usr/bin/env python
 """Run every benchmark at smoke sizes and write a machine-readable
-``BENCH_PR2.json`` tracking the simulator's performance trajectory.
+``benchmarks/results/BENCH_PR2.json`` tracking the simulator's
+performance trajectory (git-ignored; the committed ``BENCH_PR2.json``
+at the repository root is a historical snapshot this script leaves
+alone).
 
 Three sections are produced:
 
@@ -36,7 +39,7 @@ Three sections are produced:
 Usage::
 
     PYTHONPATH=src python benchmarks/run_all.py [--full] [--skip-benches]
-        [--out BENCH_PR2.json]
+        [--out benchmarks/results/BENCH_PR2.json]
 
 ``--full`` sizes the exec-path comparison at n=1024 (the ISSUE 2
 acceptance size); the default smoke size is n=256 so CI stays fast.
@@ -346,7 +349,9 @@ def main(argv=None) -> int:
         action="store_true",
         help="skip the pytest bench files (theorem + path sections only)",
     )
-    parser.add_argument("--out", default=str(REPO / "BENCH_PR2.json"))
+    parser.add_argument(
+        "--out", default=str(REPO / "benchmarks" / "results" / "BENCH_PR2.json")
+    )
     args = parser.parse_args(argv)
 
     report = {
@@ -374,7 +379,9 @@ def main(argv=None) -> int:
         if autosplit is not None:
             report["autosplit"] = autosplit
 
-    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     paths = report["exec_paths"]
     print(f"wrote {args.out}")
     print(

@@ -46,13 +46,25 @@ from __future__ import annotations
 
 import math
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterator
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-__all__ = ["TensorCall", "CallTrace", "CostLedger", "LedgerError", "LedgerSpan"]
+if TYPE_CHECKING:  # annotations only: keep numpy.typing off the import path
+    import numpy.typing as npt
+
+__all__ = [
+    "TensorCall",
+    "CallTrace",
+    "ChargeRecord",
+    "CostLedger",
+    "LedgerError",
+    "LedgerSection",
+    "RecordingLedger",
+    "frozen_column",
+]
 
 
 class LedgerError(RuntimeError):
@@ -332,25 +344,21 @@ class CallTrace:
         return f"CallTrace({len(self)} calls)"
 
 
-@dataclass
-class LedgerSpan:
-    """A window of the ledger clock opened by :meth:`CostLedger.stopwatch`.
+class LedgerSection:
+    """The context manager :meth:`CostLedger.section` returns: pushes
+    its name on entry and pops it on exit, exception or not."""
 
-    While the window is open :attr:`elapsed` reads live against the
-    ledger; once the ``with`` block exits it freezes, so the span can be
-    kept as a record (the serving engine stores one per executed batch
-    to derive batch service time from the model clock).
-    """
+    __slots__ = ("_stack", "name")
 
-    ledger: "CostLedger"
-    start: float
-    end: float | None = None
+    def __init__(self, stack: list[str], name: str) -> None:
+        self._stack = stack
+        self.name = name
 
-    @property
-    def elapsed(self) -> float:
-        """Model time charged since the span opened (frozen at exit)."""
-        end = self.end if self.end is not None else self.ledger.total_time
-        return end - self.start
+    def __enter__(self) -> None:
+        self._stack.append(self.name)
+
+    def __exit__(self, *exc: object) -> None:
+        self._stack.pop()
 
 
 @dataclass
@@ -653,16 +661,9 @@ class CostLedger:
         """Charged time that produced results: ``total - wasted - reload``."""
         return self.total_time - self.wasted_time - self.reload_time
 
-    @property
-    def clock(self) -> float:
-        """The model clock, as online consumers read it.
-
-        An alias of :attr:`total_time` named for its role: discrete-event
-        layers (e.g. :mod:`repro.serve`) advance *their* simulated clock
-        by deltas of this one, so "the time the machine has charged" and
-        "the time the serving clock shows" are the same quantity.
-        """
-        return self.total_time
+    # the model clock as online consumers (repro.serve) read it: the
+    # same property object as total_time, so a read is one lookup
+    clock = total_time
 
     @property
     def tensor_total(self) -> float:
@@ -741,29 +742,11 @@ class CostLedger:
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
-    @contextmanager
-    def stopwatch(self) -> Iterator[LedgerSpan]:
-        """Measure the model time charged inside a block.
-
-        Yields a :class:`LedgerSpan` whose :attr:`~LedgerSpan.elapsed`
-        reads live inside the block and freezes when it exits.  This is
-        the clock primitive online layers build on: a batch's service
-        time is exactly the span of ledger clock its execution charged.
-        """
-        span = LedgerSpan(self, self.total_time)
-        try:
-            yield span
-        finally:
-            span.end = self.total_time
-
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
-        """Attribute all charges inside the block to ``name`` (nestable)."""
-        self._section_stack.append(name)
-        try:
-            yield
-        finally:
-            self._section_stack.pop()
+    def section(self, name: str) -> LedgerSection:
+        """Attribute all charges inside the ``with`` block to ``name``
+        (nestable).  The returned context manager holds no per-use
+        state, so a hot loop may build it once and re-enter it."""
+        return LedgerSection(self._section_stack, name)
 
     def _bump_sections(self, amount: float) -> None:
         for name in self._section_stack:
@@ -817,3 +800,115 @@ class CostLedger:
             for key, val in src_totals.items():
                 out._section_totals[key] = out._section_totals.get(key, 0.0) + val
         return out
+
+
+def frozen_column(values: npt.ArrayLike, dtype: npt.DTypeLike) -> np.ndarray:
+    """A read-only copy of ``values`` as a ``dtype`` column."""
+    out = np.array(values, dtype=dtype, copy=True)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class ChargeRecord:
+    """One ledger charge operation, frozen to its exact effect.
+
+    ``tensor`` / ``latency`` / ``calls`` / ``cpu`` are the addends the
+    operation put on the ledger's counters, ``span`` what it added to
+    every open section (a parallel batch's makespan, else ``tensor +
+    latency``), and ``ns`` / ``times`` / ``lats`` / ``units`` its
+    read-only trace rows.  A live operation charges either tensor calls
+    or CPU work; a merged record may carry both and replays its tensor
+    part first.  ``integral`` says every addend is integer-valued.
+    """
+
+    tensor: float
+    latency: float
+    calls: int
+    span: float
+    cpu: float
+    ns: np.ndarray
+    times: np.ndarray
+    lats: np.ndarray
+    units: np.ndarray
+    integral: bool
+
+
+_CAPTURE = "ledger:capture"
+
+
+class RecordingLedger(CostLedger):
+    """A scratch ledger that logs each charge operation as a
+    :class:`ChargeRecord`, in call order.
+
+    Every operation runs against zeroed counters inside a capture
+    section, so the counters, the section total and the trace it leaves
+    behind ARE that operation's exact addends and rows (``0.0 + a`` is
+    ``a``).  The columns are validated once here, so a replay of the
+    records need not.  :func:`repro.core.plan_cache.compile_plan` runs a
+    plan against one to freeze it.
+    """
+
+    def __init__(self, sqrt_m: int, ell: float) -> None:
+        super().__init__(trace_calls=True)
+        self.bind_machine(sqrt_m, ell)
+        self.sqrt_m = sqrt_m
+        self.log: list[ChargeRecord] = []
+
+    def take(self) -> list[ChargeRecord]:
+        """The records logged since the last take, in call order."""
+        log, self.log = self.log, []
+        return log
+
+    def _record(self, charge: Callable[..., float], *args: Any, **kwargs: Any) -> float:
+        # zero what one operation can move (not reset(): the plan may
+        # hold sections of its own open around the charge)
+        self.tensor_time = self.latency_time = self.cpu_time = 0.0
+        self.tensor_calls = 0
+        self.calls.clear()
+        self._section_totals.pop(_CAPTURE, None)
+        with self.section(_CAPTURE):
+            out = charge(*args, **kwargs)
+        calls = self.tensor_calls
+        cpu = self.cpu_time
+        span = self.section_time(_CAPTURE) if calls else 0.0
+        if not calls and not cpu:
+            return out  # a zero charge moves nothing: nothing to replay
+        ns, sqrt_ms, times, lats = self.calls.as_arrays()
+        s = self.sqrt_m
+        if ns.size != calls or (calls and (
+            int(ns.min()) < s or np.any(sqrt_ms != s) or float(lats.min()) < 0.0
+        )):
+            raise LedgerError(
+                f"cannot freeze a charge of {calls} calls with rows {ns.tolist()}, "
+                f"sqrt(m) {sqrt_ms.tolist()} and latencies {lats.tolist()} on a "
+                f"sqrt(m)={s} machine"
+            )
+        addends = (self.tensor_time, self.latency_time, span, cpu)
+        self.log.append(
+            ChargeRecord(
+                tensor=self.tensor_time,
+                latency=self.latency_time,
+                calls=calls,
+                span=span,
+                cpu=cpu,
+                ns=frozen_column(ns, np.int64),
+                times=frozen_column(times, np.float64),
+                lats=frozen_column(lats, np.float64),
+                units=frozen_column(self.calls.unit_ids(), np.int64),
+                integral=all(float(a).is_integer() for a in addends),
+            )
+        )
+        return out
+
+    def charge_tensor(self, *args: Any, **kwargs: Any) -> float:
+        return self._record(super().charge_tensor, *args, **kwargs)
+
+    def charge_tensor_bulk(self, *args: Any, **kwargs: Any) -> float:
+        return self._record(super().charge_tensor_bulk, *args, **kwargs)
+
+    def charge_tensor_batch(self, *args: Any, **kwargs: Any) -> float:
+        return self._record(super().charge_tensor_batch, *args, **kwargs)
+
+    def charge_cpu(self, *args: Any, **kwargs: Any) -> float:
+        return self._record(super().charge_cpu, *args, **kwargs)

@@ -9,25 +9,37 @@ are all deterministic given ``(request kind, batch row counts, machine
 configuration)``.  This module exploits that replayability:
 
 * :func:`compile_plan` executes a request type's plan **once** against a
-  scratch ledger on a forked probe machine and freezes what it charged
-  into a :class:`CompiledPlan` — per-level columnar charge records
-  (row counts, per-call times, latency spans, unit ids — the
-  ``charge_tensor_bulk`` / ``record_calls_bulk`` column format) plus the
-  per-level ``resident_words`` an :class:`~repro.core.program.ExecutionCursor`
-  would need to price a preempted resume.
-* :class:`~repro.core.program.CompiledCursor` replays a frozen plan
-  level-at-a-time with one bulk ledger charge per level — bit-identical
-  counters, clock, snapshot, trace shape totals and preemption/reload
-  behaviour to live execution (see the cursor's docstring for the exact
-  bit-identity conditions).
+  recording scratch ledger on a forked probe machine and freezes what it
+  charged into a :class:`CompiledPlan`: per level, one
+  :class:`ChargeRecord` per ledger charge operation, in live order —
+  the operation's exact counter addends plus its read-only trace
+  columns (row counts, per-call times, latencies, unit ids) — and the
+  per-level ``resident_words`` an
+  :class:`~repro.core.program.ExecutionCursor` would need to price a
+  preempted resume.  Validation (``n >= sqrt(m)``, non-negative
+  latency) runs here, once.
+* :class:`~repro.core.program.CompiledCursor` replays those records
+  through :meth:`~repro.core.ledger.CostLedger.charge_tensor_batch` and
+  :meth:`~repro.core.ledger.CostLedger.charge_cpu`, repeating live's
+  sequence of float additions — bit-identical counters, clock,
+  snapshot, section totals, trace and preemption/reload behaviour (see
+  the cursor's docstring for the exact conditions).
 * :class:`PlanCache` memoises compiled plans under
   ``(kind, rows tuple, machine.config_key())`` with LRU eviction, so the
   serving hot path never re-plans a shape it has seen.
 
+Adjacent records merge into one only when that cannot change a single
+rounding: every addend is integer-valued *and* the machine's every
+charge is (integer ``ell``, one tensor unit), so the ledger's running
+totals stay integer-valued too and integer doubles below 2**53 add
+associatively.  On such machines a level is one record and a whole plan
+coalesces into one; a makespan-scaled parallel machine or a fractional
+``ell`` keeps one record per live operation.
+
 Compilation runs on a **fork** of the target machine (fresh ledger), so
-probing never pollutes the live clock; the fork's ledger is bound to the
+probing never pollutes the live clock; the scratch ledger is bound to the
 machine's ``(sqrt_m, ell)`` exactly as a constructor-made ledger would
-be, so a compiled plan replayed onto a differently-parameterised
+be, and a compiled plan replayed onto a differently-parameterised
 machine's ledger raises :class:`~repro.core.ledger.LedgerError` instead
 of silently poisoning it.
 """
@@ -37,15 +49,22 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Protocol
 
 import numpy as np
 
-from .ledger import CostLedger
+from .ledger import ChargeRecord, RecordingLedger, frozen_column
 from .machine import TCUMachine
 from .program import ExecutionCursor, Plan, PlanStats
 
-__all__ = ["LevelCharges", "CompiledPlan", "PlanCache", "Plannable", "compile_plan"]
+__all__ = [
+    "LevelCharges",
+    "CompiledPlan",
+    "PlanCache",
+    "Plannable",
+    "compile_plan",
+]
 
 
 class Plannable(Protocol):
@@ -55,38 +74,66 @@ class Plannable(Protocol):
     def plan(self, machine: TCUMachine, rows: Sequence[int]) -> Plan: ...
 
 
+def _merge(records: Sequence[ChargeRecord]) -> ChargeRecord:
+    """One record for a run of integral records: exact, because
+    integer-valued doubles below 2**53 add associatively."""
+    if len(records) == 1:
+        return records[0]
+    return ChargeRecord(
+        tensor=sum(r.tensor for r in records),
+        latency=sum(r.latency for r in records),
+        calls=sum(r.calls for r in records),
+        span=sum(r.span for r in records),
+        cpu=sum(r.cpu for r in records),
+        ns=frozen_column(np.concatenate([r.ns for r in records]), np.int64),
+        times=frozen_column(np.concatenate([r.times for r in records]), np.float64),
+        lats=frozen_column(np.concatenate([r.lats for r in records]), np.float64),
+        units=frozen_column(np.concatenate([r.units for r in records]), np.int64),
+        integral=True,
+    )
+
+
+def _merge_runs(records: Sequence[ChargeRecord]) -> tuple[ChargeRecord, ...]:
+    """Merge every maximal run of adjacent integral records."""
+    out: list[ChargeRecord] = []
+    for integral, run in groupby(records, key=lambda rec: rec.integral):
+        if integral:
+            out.append(_merge(list(run)))
+        else:
+            out.extend(run)
+    return tuple(out)
+
+
 @dataclass(frozen=True, eq=False)
 class LevelCharges:
     """The frozen ledger charges of one executed plan level.
 
-    ``simple`` marks levels whose charges are exactly what one public
-    :meth:`~repro.core.ledger.CostLedger.charge_tensor_bulk` with the
-    machine's own ``(sqrt_m, ell)`` would produce (uniform latency,
-    serial unit ids, per-call times on the ``n*sqrt_m + l`` formula) —
-    those replay through the validated public path.  Everything else
-    (parallel makespan-scaled levels, whose counters carry one scaled
-    addend each) replays its captured counter deltas and trace columns
-    verbatim, mirroring ``mm_batch``'s own accounting.
+    ``records`` holds one :class:`ChargeRecord` per live ledger charge
+    operation, in live order, except that runs of adjacent records merge
+    when the machine allows it (see the module docstring).  ``simple``
+    marks a level whose charges all merged into at most one record; a
+    plan coalesces (:attr:`CompiledPlan.coalesced`) exactly when its
+    prelude and every level are simple.
     """
 
-    tensor_time: float
-    latency_time: float
-    cpu_time: float
-    tensor_calls: int
-    ns: np.ndarray
-    times: np.ndarray
-    lats: np.ndarray
-    units: np.ndarray
+    records: tuple[ChargeRecord, ...]
     simple: bool
 
     @property
     def total_time(self) -> float:
-        return self.tensor_time + self.latency_time + self.cpu_time
+        return sum(r.tensor + r.latency + r.cpu for r in self.records)
+
+
+def _level(records: Sequence[ChargeRecord], mergeable: bool) -> LevelCharges:
+    if not mergeable:
+        return LevelCharges(tuple(records), simple=False)
+    merged = _merge_runs(records)
+    return LevelCharges(merged, simple=all(r.integral for r in merged) and len(merged) <= 1)
 
 
 @dataclass(frozen=True, eq=False)
 class CompiledPlan:
-    """A plan frozen to its ledger effects, ready for columnar replay.
+    """A plan frozen to its ledger effects, ready for record replay.
 
     Attributes
     ----------
@@ -94,8 +141,8 @@ class CompiledPlan:
         The request kind and per-request row counts the plan was
         compiled for (informational; the cache key carries them too).
     sqrt_m / ell:
-        The probe machine's call parameters — every replayed bulk
-        charge uses them, so a bound ledger of any other machine
+        The probe machine's call parameters — replay checks the target
+        ledger is bound to them, so a bound ledger of any other machine
         rejects the replay.
     prelude:
         Charges the request type's ``plan()`` emitted while *building*
@@ -109,11 +156,10 @@ class CompiledPlan:
         suspended before level ``d`` must re-load on resume — the exact
         value live :meth:`ExecutionCursor.resident_words` returns there.
     coalesced:
-        When every level is ``simple`` and all deltas are integer-valued
-        floats (so float addition re-associates exactly), the whole
-        plan — prelude included — collapsed into one record; a
-        run-to-exhaustion replay then costs a single bulk charge.
-        ``None`` when per-level replay is required for bit-identity.
+        When the prelude and every level are ``simple``, the whole plan
+        collapsed into one record; a run-to-exhaustion replay then costs
+        a single tensor charge plus a single CPU charge.  ``None`` when
+        per-level replay is required for bit-identity.
     stats:
         The live plan's :class:`~repro.core.program.PlanStats`.
     """
@@ -133,119 +179,51 @@ class CompiledPlan:
         return len(self.levels)
 
 
-def _capture(scratch: CostLedger, sqrt_m: int, ell: float) -> LevelCharges:
-    """Freeze a zeroed scratch ledger's accumulated charges.
-
-    The scratch starts from zero for every level, so counter values ARE
-    the exact per-level float deltas live execution adds to a running
-    ledger.  The ``simple`` classification is verified against the bulk
-    formula bit-for-bit, never assumed.
-    """
-    ns_v, _, times_v, lats_v = scratch.calls.as_arrays()
-    ns = np.array(ns_v, dtype=np.int64, copy=True)
-    times = np.array(times_v, dtype=np.float64, copy=True)
-    lats = np.array(lats_v, dtype=np.float64, copy=True)
-    units = np.array(scratch.calls.unit_ids(), dtype=np.int64, copy=True)
-    k = scratch.tensor_calls
-    simple = (
-        k == int(ns.size)
-        and bool(np.all(units == -1))
-        and bool(np.all(lats == float(ell)))
-        and bool(np.array_equal(times, ns * float(sqrt_m) + float(ell)))
-        and scratch.tensor_time == float(int(ns.sum()) * sqrt_m)
-        and scratch.latency_time == float(ell) * k
-    )
-    return LevelCharges(
-        tensor_time=scratch.tensor_time,
-        latency_time=scratch.latency_time,
-        cpu_time=scratch.cpu_time,
-        tensor_calls=k,
-        ns=ns,
-        times=times,
-        lats=lats,
-        units=units,
-        simple=simple,
-    )
-
-
-def _coalesce(
-    prelude: LevelCharges | None,
-    levels: tuple[LevelCharges, ...],
-    ell: float,
-) -> LevelCharges | None:
-    """Collapse a whole plan into one charge record when exact.
-
-    Valid only when every part replays through the public bulk path
-    (``simple``) and every per-level float delta is integer-valued, so
-    ``base + (d1 + d2 + ...)`` bit-equals ``((base + d1) + d2) + ...``
-    — integer-valued doubles below 2**53 add associatively.  Fractional
-    ``ell`` (no shipped preset has one) falls back to per-level replay.
-    """
-    parts = ([] if prelude is None else [prelude]) + list(levels)
-    if not parts or not all(p.simple for p in parts):
-        return None
-    calls = sum(p.tensor_calls for p in parts)
-    if calls and not float(ell).is_integer():
-        return None
-    if not all(float(p.cpu_time).is_integer() for p in parts):
-        return None
-    return LevelCharges(
-        tensor_time=sum(p.tensor_time for p in parts),
-        latency_time=sum(p.latency_time for p in parts),
-        cpu_time=sum(p.cpu_time for p in parts),
-        tensor_calls=calls,
-        ns=np.concatenate([p.ns for p in parts]) if calls else np.empty(0, np.int64),
-        times=np.concatenate([p.times for p in parts]) if calls else np.empty(0),
-        lats=np.concatenate([p.lats for p in parts]) if calls else np.empty(0),
-        units=np.concatenate([p.units for p in parts]) if calls else np.empty(0, np.int64),
-        simple=True,
-    )
-
-
 def compile_plan(rtype: Plannable, machine: TCUMachine, rows: Sequence[int]) -> CompiledPlan:
     """Execute ``rtype``'s plan for ``rows`` once and freeze its charges.
 
-    Runs on ``machine.fork()`` with a fresh full-trace scratch ledger —
-    the live ledger is never touched — resetting the scratch before
-    every level so each captured record is the exact from-zero delta
-    that level charges.
+    Runs on ``machine.fork()`` with a recording scratch ledger — the
+    live ledger is never touched — taking the records each level logs.
     """
     rows = [int(r) for r in rows]
     probe = machine.fork()
-    scratch = CostLedger(trace_calls=True)
     s, ell = probe.sqrt_m, probe.ell
-    scratch.bind_machine(s, ell)
+    scratch = RecordingLedger(s, ell)
     probe.ledger = scratch
+    # makespan-scaled batches on several units, or a fractional ell,
+    # leave the ledger's running totals fractional: integer addends no
+    # longer re-associate exactly against them, so nothing merges
+    mergeable = float(ell).is_integer() and getattr(probe, "units", 1) == 1
     plan = rtype.plan(probe, rows)
-    prelude: LevelCharges | None = _capture(scratch, s, ell)
+    built = scratch.take()
+    prelude = _level(built, mergeable) if built else None
 
     levels: list[LevelCharges] = []
     reloads: list[int] = []
     cursor = ExecutionCursor(plan, probe)
     while not cursor.done:
         reloads.append(cursor.resident_words())
-        scratch.reset()
         cursor.step()
-        levels.append(_capture(scratch, s, ell))
+        levels.append(_level(scratch.take(), mergeable))
     if not levels:
         # a plan with no levels still owes its build charges; keep one
         # empty level so a cursor has a step to apply them on
-        scratch.reset()
-        levels.append(_capture(scratch, s, ell))
+        levels.append(_level((), mergeable))
         reloads.append(0)
 
-    if prelude.tensor_calls == 0 and prelude.total_time == 0.0:
-        prelude = None
-    level_tuple = tuple(levels)
+    parts = ([] if prelude is None else [prelude]) + levels
+    coalesced: LevelCharges | None = None
+    if all(p.simple for p in parts):
+        coalesced = _level([r for p in parts for r in p.records], mergeable)
     return CompiledPlan(
         kind=getattr(rtype, "name", type(rtype).__name__),
         rows=tuple(rows),
         sqrt_m=s,
         ell=ell,
         prelude=prelude,
-        levels=level_tuple,
+        levels=tuple(levels),
         reload_words=tuple(reloads),
-        coalesced=_coalesce(prelude, level_tuple, ell),
+        coalesced=coalesced,
         stats=plan.stats,
     )
 

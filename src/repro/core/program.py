@@ -1163,13 +1163,15 @@ class ExecutionCursor:
             if self.plan.splits is not None
             else None
         )
-        with self.machine.ledger.stopwatch() as span:
-            _execute_level(groups, others, self.machine, splits)
+        ledger = self.machine.ledger
+        start = ledger.total_time
+        _execute_level(groups, others, self.machine, splits)
+        elapsed = ledger.total_time - start
         self.next_level += 1
-        self.level_times.append(span.elapsed)
+        self.level_times.append(elapsed)
         if self.observer is not None:
-            self.observer(self.next_level - 1, span.elapsed)
-        return span.elapsed
+            self.observer(self.next_level - 1, elapsed)
+        return elapsed
 
     def run(self) -> None:
         """Execute every remaining level (run to exhaustion)."""
@@ -1237,19 +1239,20 @@ class CompiledCursor:
     The drop-in twin of :class:`ExecutionCursor` for the serving hot
     path: same interface (``step`` / ``run`` / ``done`` / ``next_level``
     / ``remaining_levels`` / ``level_times`` / ``charge_reload``), but
-    each step applies the level's *pre-computed* charges as one bulk
-    ledger operation instead of walking ops — no program build, no
-    planner, no per-op dispatch.  Values are never produced, so compiled
-    replay is only offered on cost-only machines, where live execution
-    produces placeholders anyway.
+    each step applies the level's frozen charge records instead of
+    walking ops — no program build, no planner, no per-op dispatch, no
+    per-replay validation or reductions.  Values are never produced, so
+    compiled replay is only offered on cost-only machines, where live
+    execution produces placeholders anyway.
 
-    Bit-identity to live execution holds for the ledger's counters,
-    clock, snapshot, per-shape trace totals and unit-id trace whenever
-    each counter's live per-level addends are either a single float (the
-    parallel makespan path) or all integer-valued (every serial charge
-    with integer ``ell`` — all shipped presets); both conditions make
-    float addition re-associate exactly.  The compile step verifies the
-    per-level deltas against the bulk formula rather than assuming them.
+    Each record re-adds the exact addends one live ledger operation
+    added, in live order, so the ledger's counters, clock, snapshot,
+    section totals, trace and ``on_charge`` stream are bit-identical to
+    live execution.  Records merged at compile time (integral machines
+    only, see :mod:`repro.core.plan_cache`) keep that identity whenever
+    the target ledger's running totals are integer-valued — true for
+    any ledger charged only by machines with integer ``ell`` and one
+    tensor unit.
 
     ``plan()``-build charges the live engine pays at launch (the
     compiled plan's ``prelude``) are applied together with level 0, so a
@@ -1262,7 +1265,7 @@ class CompiledCursor:
         self.next_level = 0
         self.level_times: list[float] = []
         # same telemetry seam as ExecutionCursor.observer; the coalesced
-        # run() path reports its single bulk span as level 0
+        # run() path reports its single span as level 0
         self.observer: Callable[[int, float], None] | None = None
         # the prelude (plan()-build charges) is paid exactly once per
         # cursor, on the first step ever taken — a fault-recovery
@@ -1282,71 +1285,60 @@ class CompiledCursor:
     def done(self) -> bool:
         return self.next_level >= len(self.compiled.levels)
 
-    def _apply(self, charges) -> None:
-        led = self.machine.ledger
+    def _apply(self, charges, ledger) -> None:
         s = self.compiled.sqrt_m
-        ell = self.compiled.ell
-        if charges.simple:
-            if charges.ns.size:
-                led.charge_tensor_bulk(charges.ns, s, ell)
-        else:
-            # a makespan-scaled parallel level: its counters carry one
-            # non-formula addend each, so replay the captured deltas and
-            # trace columns verbatim (mm_batch's own accounting), after
-            # the same machine-binding check the public path enforces
-            led._check_bound(s, ell)
-            led.charge_tensor_batch(
-                charges.tensor_time,
-                charges.latency_time,
-                charges.tensor_calls,
-                charges.ns,
-                s,
-                charges.times,
-                charges.lats,
-                units=charges.units,
-            )
-        if charges.cpu_time:
-            led.charge_cpu(charges.cpu_time)
+        for rec in charges.records:
+            if rec.calls:
+                ledger.charge_tensor_batch(
+                    rec.tensor, rec.latency, rec.calls, rec.ns, s, rec.times, rec.lats,
+                    units=rec.units, span=rec.span,
+                )
+            if rec.cpu:
+                ledger.charge_cpu(rec.cpu)
+
+    def _finish(self, level: int, elapsed: float) -> float:
+        self.level_times.append(elapsed)
+        if self.observer is not None:
+            self.observer(level, elapsed)
+        return elapsed
 
     def step(self) -> float:
         """Replay the next level's charges; returns the model time."""
         if self.done:
             raise ProgramError("cursor is exhausted; no levels left to execute")
-        with self.machine.ledger.stopwatch() as span:
-            if not self._prelude_paid:
-                if self.compiled.prelude is not None:
-                    self._apply(self.compiled.prelude)
-                self._prelude_paid = True
-            self._apply(self.compiled.levels[self.next_level])
+        compiled = self.compiled
+        ledger = self.machine.ledger
+        # per replay, not per compile: the target ledger may differ
+        ledger._check_bound(compiled.sqrt_m, compiled.ell)
+        start = ledger.total_time
+        if not self._prelude_paid:
+            if compiled.prelude is not None:
+                self._apply(compiled.prelude, ledger)
+            self._prelude_paid = True
+        self._apply(compiled.levels[self.next_level], ledger)
         self.next_level += 1
-        self.level_times.append(span.elapsed)
-        if self.observer is not None:
-            self.observer(self.next_level - 1, span.elapsed)
-        return span.elapsed
+        return self._finish(self.next_level - 1, ledger.total_time - start)
 
     def run(self) -> None:
         """Replay every remaining level.
 
         A fresh cursor whose plan coalesces (see
         :class:`~repro.core.plan_cache.CompiledPlan`) pays the whole
-        plan — prelude included — as a single bulk charge; otherwise
-        this is the plain step loop.
+        plan — prelude included — as one record; otherwise this is the
+        plain step loop.
         """
-        if (
-            self.next_level == 0
-            and not self._prelude_paid
-            and self.compiled.coalesced is not None
-        ):
-            with self.machine.ledger.stopwatch() as span:
-                self._apply(self.compiled.coalesced)
-            self.next_level = self.total_levels
-            self._prelude_paid = True
-            self.level_times.append(span.elapsed)
-            if self.observer is not None:
-                self.observer(0, span.elapsed)
+        compiled = self.compiled
+        if self._prelude_paid or compiled.coalesced is None:
+            while not self.done:
+                self.step()
             return
-        while not self.done:
-            self.step()
+        ledger = self.machine.ledger
+        ledger._check_bound(compiled.sqrt_m, compiled.ell)
+        start = ledger.total_time
+        self._apply(compiled.coalesced, ledger)
+        self.next_level = len(compiled.levels)
+        self._prelude_paid = True
+        self._finish(0, ledger.total_time - start)
 
     def rewind(self, to_level: int) -> None:
         """Roll the replay back so levels at/after ``to_level`` re-apply.

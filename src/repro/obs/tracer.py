@@ -9,7 +9,10 @@ seed)``: two replays produce byte-identical exports.  With
 path, bit-identical to previous revisions.
 
 Hot-path design: emission methods append small tuples to per-category
-lists (requests, segments, levels, batch rows, waits, instants…).
+lists (requests, segments, levels, batch rows, waits, instants…); a
+completed batch appends just its list of finished
+:class:`~repro.serve.workload.Request` records, whose rows are built
+when :attr:`Tracer.requests` is first read.
 Nothing is formatted, no objects are built, and no clock is *computed*
 — callers pass timestamps they already hold (the ``OBS001`` lint rule
 enforces that those are names bound from the ledger clock, not
@@ -95,8 +98,11 @@ class Tracer:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.sampler = Sampler(sample_every) if sample_every is not None else None
         self.monitors = tuple(monitors)
-        # columnar event stores — one tuple append per event
-        self.requests: list[tuple] = []  # (rid, kind, prio, outcome, arrival, launch, finish, batch, met)
+        # columnar event stores — one tuple append per event; request
+        # rows interleave with completed batches' Request lists (see
+        # requests_done), expanded in place on the first read
+        self._requests: list[tuple | list] = []
+        self._batches_pending = False
         self.segments: list[tuple] = []  # (batch, kind, prio, start, dur)
         self.levels: list[tuple] = []  # (batch, level, units, start, end)
         self.batch_rows: list[tuple] = []  # (batch, kind, prio, size, launch, finish, service, reload, wasted, faults)
@@ -109,6 +115,42 @@ class Tracer:
         self._pending_charges: tuple[dict, dict] | None = None
 
     # -- request lifecycle --------------------------------------------
+    @property
+    def requests(self) -> list[tuple]:
+        """One row per request outcome, in event order: ``(rid, kind,
+        prio, outcome, arrival, launch, finish, batch, met)``.
+
+        Batches logged by :meth:`requests_done` are expanded here, on
+        the first read after they were logged, from their requests'
+        final ``launch`` / ``completion`` / ``batch`` / ``slo`` fields.
+        """
+        if self._batches_pending:
+            rows: list[tuple] = []
+            for entry in self._requests:
+                if type(entry) is tuple:
+                    rows.append(entry)
+                    continue
+                rows.extend([
+                    (r.rid, r.kind, r.priority, "done", r.arrival, r.launch,
+                     r.completion, r.batch,
+                     None if r.slo is None else r.completion - r.arrival <= r.slo)
+                    for r in entry
+                ])
+            self._requests = rows
+            self._batches_pending = False
+        return self._requests
+
+    def requests_done(self, requests: list) -> None:
+        """Log a completed batch: one list append, whatever its size.
+
+        The engine calls this once the batch's requests are final
+        (``completion`` and ``batch`` set); their ``"done"`` rows are
+        built when :attr:`requests` is next read, exactly as
+        :meth:`request_done` would have recorded them.
+        """
+        self._requests.append(requests)
+        self._batches_pending = True
+
     def request_done(
         self,
         rid: int,
@@ -121,14 +163,14 @@ class Tracer:
         ts: float,
         met: bool | None = None,
     ) -> None:
-        self.requests.append(
+        self._requests.append(
             (rid, kind, priority, "done", arrival, launch, ts, batch, met)
         )
 
     def request_shed(
         self, rid: int, kind: str, priority: int, arrival: float, *, ts: float
     ) -> None:
-        self.requests.append(
+        self._requests.append(
             (rid, kind, priority, "shed", arrival, math.nan, ts, -1, None)
         )
 
@@ -143,7 +185,7 @@ class Tracer:
         *,
         ts: float,
     ) -> None:
-        self.requests.append(
+        self._requests.append(
             (rid, kind, priority, "abandoned", arrival, launch, ts, batch, None)
         )
 

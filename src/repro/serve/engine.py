@@ -88,7 +88,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from ..core.ledger import CostLedger
+from ..core.ledger import CostLedger, LedgerSection
 from ..core.machine import TCUMachine
 from ..core.plan_cache import PlanCache
 from ..core.program import CompiledCursor, ExecutionCursor
@@ -552,10 +552,10 @@ class _Run:
 
     ``seg_clock``/``seg_base`` anchor the current execution segment on
     the engine and ledger clocks; ``boundary`` is the absolute engine
-    time of the last executed level's completion.  A batch's completion
-    is always computed as ``seg_clock + (ledger now - seg_base)`` — for
-    a single-segment batch that is bit-identical to the old engine's
-    ``launch + stopwatch span``.
+    time of the last executed level's completion and ``seg_now`` the
+    ledger clock read there.  A batch's completion is always computed
+    as ``seg_clock + (seg_now - seg_base)`` — for a single-segment batch,
+    ``launch`` plus the ledger-clock span its execution charged.
     """
 
     __slots__ = (
@@ -567,6 +567,7 @@ class _Run:
         "launch",
         "seg_clock",
         "seg_base",
+        "seg_now",
         "boundary",
         "service",
         "reload",
@@ -601,6 +602,7 @@ class _Run:
         self.launch = launch
         self.seg_clock = launch
         self.seg_base = 0.0
+        self.seg_now = 0.0
         self.boundary = launch
         self.service = 0.0
         self.reload = 0.0
@@ -691,10 +693,11 @@ class ServingEngine:
         only event granularity changes).
 
     With caching active, each batch's ``(kind, rows)`` is compiled once
-    into a frozen charge tensor and replayed thereafter as one bulk
-    ledger operation per level (or one per *batch* when the whole plan
-    coalesces) — bit-identical charges, clock and preemption behaviour
-    to live execution, at a fraction of the Python cost.
+    into frozen charge records and replayed thereafter in live order
+    (one record per level, or per *batch* when the whole plan coalesces,
+    on machines whose charges are all integer-valued) — bit-identical
+    charges, clock and preemption behaviour to live execution, at a
+    fraction of the Python cost.
     """
 
     def __init__(
@@ -886,6 +889,7 @@ class ServingEngine:
         # per-run section baselines: ledger sections are cumulative over
         # the machine's lifetime, results report only this run's share
         kind_base: dict[str, float] = {}
+        sections: dict[str, LedgerSection] = {}  # "serve:{kind}", built once
         rtypes: dict[str, object] = {}  # per-run registry memo
         cache = self.plan_cache
         cache_hits_start = cache.hits if cache is not None else 0
@@ -918,12 +922,15 @@ class ServingEngine:
             )
             slo_stats: dict[int, list[int]] = {}  # priority -> [hits, total]
             full_trace = ledger.trace_calls is True
-            # the per-request completion loop is the one traced path that
-            # scales with the stream, not with batches/faults: pre-bind
-            # its callees and append request rows directly in the
-            # tracer's documented tuple layout
+            # the per-request completion work is the one traced path
+            # that scales with the stream, not with batches/faults: a
+            # batch is logged as one list (rows are built on read), and
+            # latency samples and SLO outcomes are fed per request only
+            # when a sampler or an SLO monitor watches them mid-run —
+            # otherwise they are folded in once, at the end of the run
             observe_latency = h_latency.observe
-            request_rows_append = tr.requests.append
+            requests_done = tr.requests_done
+            live_outcomes = sampling or bool(tr.monitors)
 
         def note_availability() -> None:
             entered = len(finished) + len(abandoned)
@@ -935,8 +942,10 @@ class ServingEngine:
             if lookups:
                 g_cache.set((cache.hits - cache_hits_start) / lookups)
 
-        def set_boundary(run: _Run) -> None:
-            run.boundary = run.seg_clock + (ledger.clock - run.seg_base)
+        def set_boundary(run: _Run, now: float) -> None:
+            """Close the executed unit at ledger clock ``now``."""
+            run.seg_now = now
+            run.boundary = run.seg_clock + (now - run.seg_base)
 
         def up_time(t: float) -> float:
             """Earliest model time >= ``t`` the unit is up, consuming
@@ -961,14 +970,16 @@ class ServingEngine:
             run.wasted += span
             wasted_total += span
 
-        def exec_unit(run: _Run) -> None:
+        def exec_unit(run: _Run, span_base: float | None = None) -> None:
             """Execute one unit of work — a level (stepwise) or the whole
             remaining plan — drawing this unit's fault before running it.
+            ``span_base`` is the ledger clock now, when the caller knows
+            it (nothing charged since its last read).
 
             With preemption off and no active injector nothing can
             interrupt a running batch (releases happen only at idle), so
             the cursor runs to exhaustion in one event — on a cached
-            plan that is a single coalesced bulk charge.  Stepwise
+            plan that coalesces, a single record.  Stepwise
             execution keeps level boundaries visible to the kernel, for
             preemption and for faults alike.
             """
@@ -976,8 +987,9 @@ class ServingEngine:
             factor, corrupt = (1.0, False)
             if fault_active:
                 factor, corrupt = injector.draw_level()
-            span_base = ledger.clock
-            with ledger.section(f"serve:{run.kind}"):
+            if span_base is None:
+                span_base = ledger.clock
+            with sections[run.kind]:
                 if stepwise:
                     run.cursor.step()
                 else:
@@ -987,8 +999,9 @@ class ServingEngine:
                     # the surplus is charged (cpu) but the level still
                     # completes, so it is useful work, not waste
                     ledger.charge_cpu((factor - 1.0) * (ledger.clock - span_base))
-            run.last_span = ledger.clock - span_base
-            set_boundary(run)
+            now = ledger.clock
+            run.last_span = now - span_base
+            set_boundary(run, now)
             if fault_active:
                 crashed = False
                 while injector.next_crash() <= run.boundary:
@@ -1006,14 +1019,15 @@ class ServingEngine:
             a degraded retry (a re-plan can never checkpoint-resume)."""
             run.rows = rows
             run.cursor = None
-            with ledger.section(f"serve:{run.kind}"):
-                if cache is not None:
-                    compiled = cache.get_or_compile(run.rtype, exec_machine, rows)
-                    run.cursor = CompiledCursor(compiled, exec_machine)
-                else:
+            if cache is not None:
+                # compiles on a fork: the live ledger is not charged
+                compiled = cache.get_or_compile(run.rtype, exec_machine, rows)
+                run.cursor = CompiledCursor(compiled, exec_machine)
+            else:
+                with sections[run.kind]:  # plan() may charge build work
                     plan = run.rtype.plan(exec_machine, rows)
-                    if plan.levels:
-                        run.cursor = ExecutionCursor(plan, exec_machine)
+                if plan.levels:
+                    run.cursor = ExecutionCursor(plan, exec_machine)
             if tracing and stepwise and run.cursor is not None:
                 attach_level_observer(run)
 
@@ -1082,7 +1096,8 @@ class ServingEngine:
             rtype = rtypes.get(kind)
             if rtype is None:
                 rtype = rtypes[kind] = get_request_type(kind)
-                kind_base[kind] = ledger.section_time(f"serve:{kind}")
+                sections[kind] = ledger.section(f"serve:{kind}")
+                kind_base[kind] = ledger.section_time(sections[kind].name)
             run = _Run(len(batches), kind, priority, batch, clock)
             run.rtype = rtype
             batches.append(None)  # slot: filled by complete()
@@ -1095,14 +1110,17 @@ class ServingEngine:
                 g_inflight.set(sum(run.rows))
                 if cache is not None:
                     note_cache_hit_rate()
+            # nothing has charged since seg_base unless plan() ran live
+            base = run.seg_base if cache is not None else None
             if run.cursor is not None:
-                exec_unit(run)
+                exec_unit(run, base)
             else:
-                set_boundary(run)  # empty plan: completes instantly
+                # empty plan: completes instantly
+                set_boundary(run, ledger.clock if base is None else base)
             running = run
 
         def charge_resume_reload(run: _Run) -> None:
-            with ledger.section(f"serve:{run.kind}"):
+            with sections[run.kind]:
                 reload = run.cursor.charge_reload()
                 run.reload += reload
                 run.attempt_reload += reload
@@ -1164,12 +1182,12 @@ class ServingEngine:
             if run.cursor is not None:
                 exec_unit(run)
             else:
-                set_boundary(run)
+                set_boundary(run, ledger.clock)
             running = run
 
         def close_segment(run: _Run) -> None:
             nonlocal busy_time
-            span = ledger.clock - run.seg_base
+            span = run.seg_now - run.seg_base
             run.service += span
             run.attempt_span += span
             busy_time += span
@@ -1319,19 +1337,15 @@ class ServingEngine:
                         heapq.heappush(injected, (new.arrival, next(seq), new))
             running = None
             if tracing:
-                c_completed.inc(len(run.requests))
+                requests_done(run.requests)
                 if sampling:
+                    c_completed.inc(len(run.requests))
                     g_inflight.set(0)
-                for req in run.requests:
-                    latency = finish - req.arrival
+                for req in run.requests if live_outcomes else ():
                     if sampling:
-                        observe_latency(latency)
-                    met = None if req.slo is None else latency <= req.slo
-                    request_rows_append(
-                        (req.rid, req.kind, req.priority, "done",
-                         req.arrival, req.launch, finish, run.index, met)
-                    )
-                    if met is not None:
+                        observe_latency(finish - req.arrival)
+                    if req.slo is not None:
+                        met = finish - req.arrival <= req.slo
                         tr.observe_slo(req.priority, met, ts=finish)
                         stats = slo_stats.setdefault(req.priority, [0, 0])
                         stats[0] += met
@@ -1467,6 +1481,13 @@ class ServingEngine:
             h_latency.observe_many(
                 [req.completion - req.arrival for req in finished]
             )
+            c_completed.inc(len(finished))
+            if not live_outcomes:
+                # completion order, as the live path would have counted
+                for req in [r for r in finished if r.slo is not None]:
+                    stats = slo_stats.setdefault(req.priority, [0, 0])
+                    stats[0] += req.completion - req.arrival <= req.slo
+                    stats[1] += 1
             g_queue.set(queued_now)
             g_inflight.set(0)
             note_availability()
@@ -1488,7 +1509,7 @@ class ServingEngine:
             trace_start=trace_start,
             trace_end=len(ledger.calls) if ledger.trace_calls is True else 0,
             kind_time={
-                kind: ledger.section_time(f"serve:{kind}") - base_time
+                kind: ledger.section_time(sections[kind].name) - base_time
                 for kind, base_time in kind_base.items()
             },
             shed=shed,

@@ -1,5 +1,6 @@
 """Unit tests for the model-time ledger."""
 
+import numpy as np
 import pytest
 
 from repro.core.ledger import CostLedger, LedgerError, TensorCall
@@ -189,3 +190,52 @@ class TestResetAndMerge:
             "total_time",
         }
         assert snap["total_time"] == led.total_time
+
+
+class TestSectionContext:
+    def test_section_pops_when_the_body_raises(self):
+        led = CostLedger()
+        with pytest.raises(RuntimeError):
+            with led.section("a"):
+                led.charge_cpu(3)
+                raise RuntimeError("boom")
+        led.charge_cpu(4)
+        assert led.section_time("a") == 3
+        led.reset()  # nothing left open
+
+    def test_sections_nest_and_one_object_can_be_reentered(self):
+        led = CostLedger()
+        outer = led.section("outer")
+        for _ in range(2):
+            with outer:
+                with led.section("inner"):
+                    led.charge_cpu(2)
+                led.charge_cpu(1)
+        assert led.section_time("outer") == 6
+        assert led.section_time("inner") == 4
+
+    def test_reset_with_an_open_section_still_raises(self):
+        led = CostLedger()
+        with led.section("a"):
+            with pytest.raises(LedgerError, match="sections are open"):
+                led.reset()
+        led.reset()
+
+
+class TestClock:
+    def test_clock_is_total_time(self):
+        assert CostLedger.clock is CostLedger.total_time
+
+    def test_clock_equals_total_time_bit_for_bit(self):
+        led = CostLedger()
+        led.charge_tensor(5, 4, 0.1)
+        led.charge_cpu(0.7)
+        led.charge_reload(1 / 3)
+        led.charge_tensor_batch(
+            2.2, 0.3, 3, np.array([4, 4, 5]), 4, np.array([16.1, 16.1, 20.1]), 0.1
+        )
+        led.charge_cpu(1e-9)
+        assert led.clock == led.total_time
+        assert led.clock.hex() == (
+            led.tensor_time + led.latency_time + led.cpu_time + led.reload_time
+        ).hex()

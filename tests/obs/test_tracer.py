@@ -17,6 +17,7 @@ from repro.core.presets import TPU_V1
 from repro.obs import ObsError, SloBurnMonitor, Tracer, chrome_trace_json
 from repro.serve import (
     PoissonWorkload,
+    Request,
     ServingEngine,
     chaos_injector,
     interactive_batch_mix,
@@ -204,3 +205,29 @@ def test_trace_table_reports_zero_deviation():
     text = trace_table(tr, result, limit=5)
     assert "deviation 0\n" in text or text.endswith("deviation 0")
     assert "critical path" in text
+
+
+def test_logged_batches_expand_into_rows_in_event_order():
+    """A completed batch is logged as its request list; reading
+    ``requests`` yields exactly the rows ``request_done`` would have
+    stored, in event order among the shed and abandoned rows."""
+    done = [
+        Request(1, "mlp", 1.0, 8, slo=5.0, launch=2.0, completion=6.5, batch=0),
+        Request(2, "mlp", 1.5, 8, launch=2.0, completion=6.5, batch=0),
+    ]
+    logged, eager = Tracer(), Tracer()
+    for tr in (logged, eager):
+        tr.request_shed(0, "mlp", 1, 0.5, ts=0.5)
+    logged.requests_done(done)
+    for req in done:
+        met = None if req.slo is None else req.completion - req.arrival <= req.slo
+        eager.request_done(
+            req.rid, req.kind, req.priority, req.arrival, req.launch, req.batch,
+            ts=req.completion, met=met,
+        )
+    for tr in (logged, eager):
+        tr.request_abandoned(3, "mlp", 0, 2.5, 3.0, 1, ts=9.0)
+    assert logged.requests == eager.requests
+    assert [row[3] for row in logged.requests] == ["shed", "done", "done", "abandoned"]
+    assert logged.requests[1][8] is False and logged.requests[2][8] is None
+    assert logged.events_total() == eager.events_total() == 4
